@@ -223,17 +223,14 @@ fn sais_inner(s: &[usize], sigma: usize, sa: &mut [usize]) {
     // substrings.
     let mut lms_sorted: Vec<usize> = sa.iter().copied().filter(|&p| is_lms(&is_s, p)).collect();
     let num_lms = lms_sorted.len();
-    // Name LMS substrings in sorted order; equal adjacent substrings share a
-    // name.
+    // Name LMS substrings in sorted order, starting from 0; equal adjacent
+    // substrings share a name.
     let mut name_of = vec![usize::MAX; n];
     let mut name = 0usize;
     let mut prev = usize::MAX;
     for &p in &lms_sorted {
         if prev != usize::MAX && !lms_substrings_equal(s, &is_s, prev, p) {
             name += 1;
-        }
-        if prev == usize::MAX {
-            // first LMS substring gets name 0
         }
         name_of[p] = name;
         prev = p;

@@ -5,17 +5,20 @@
 //! interval of `P`. We use the classic reduction (Muthukrishnan \[58\]): let
 //! `prev[r]` be the previous rank with the same document as rank `r` (or
 //! `-1`). The distinct documents in `[lo, hi)` are exactly the ranks with
-//! `prev[r] < lo`, counted with a [`MergeSortTree`] in `O(log² N)`.
+//! `prev[r] < lo`, counted with a [`WaveletMatrix`] over `prev[r] + 1` in
+//! `O(log N)` rank steps and `N⌈log₂(N + 1)⌉` bits plus a rank directory.
 
 use dpsc_strkit::search::SaInterval;
 use dpsc_strkit::suffix_array::SuffixArray;
 
-use crate::range_count::MergeSortTree;
+use crate::range_count::WaveletMatrix;
 
 /// Distinct-color counter over the suffix array's rank sequence.
 #[derive(Debug, Clone)]
 pub struct DocDistinctCounter {
-    tree: MergeSortTree,
+    /// `prev[r] + 1` for every rank `r` (0 when `r` is its document's first
+    /// rank).
+    prev1: WaveletMatrix,
 }
 
 impl DocDistinctCounter {
@@ -24,14 +27,15 @@ impl DocDistinctCounter {
         let n = sa.len();
         assert_eq!(n, doc_of.len());
         let n_docs = doc_of.iter().copied().max().map_or(0, |d| d as usize + 1);
-        let mut last_rank_of_doc: Vec<i64> = vec![-1; n_docs];
-        let mut prev: Vec<i64> = vec![-1; n];
-        for (r, &pos) in sa.sa().iter().enumerate() {
-            let d = doc_of[pos as usize] as usize;
-            prev[r] = last_rank_of_doc[d];
-            last_rank_of_doc[d] = r as i64;
-        }
-        Self { tree: MergeSortTree::build(&prev) }
+        let mut last_rank1_of_doc: Vec<u32> = vec![0; n_docs];
+        let prev1: Vec<u32> = (1u32..)
+            .zip(sa.sa())
+            .map(|(r1, &pos)| {
+                let d = doc_of[pos as usize] as usize;
+                std::mem::replace(&mut last_rank1_of_doc[d], r1)
+            })
+            .collect();
+        Self { prev1: WaveletMatrix::build(prev1) }
     }
 
     /// Number of distinct documents among ranks `[iv.lo, iv.hi)`.
@@ -39,7 +43,13 @@ impl DocDistinctCounter {
         if iv.is_empty() {
             return 0;
         }
-        self.tree.count_less(iv.lo as usize, iv.hi as usize, iv.lo as i64)
+        // prev[r] < lo  ⟺  prev[r] + 1 < lo + 1.
+        self.prev1.count_less(iv.lo as usize, iv.hi as usize, iv.lo + 1)
+    }
+
+    /// Bytes owned on the heap.
+    pub fn heap_bytes(&self) -> usize {
+        self.prev1.heap_bytes()
     }
 }
 
@@ -83,5 +93,17 @@ mod tests {
         let sa = SuffixArray::from_bytes(b"ab");
         let counter = DocDistinctCounter::build(&sa, &[0, 0]);
         assert_eq!(counter.distinct(SaInterval::EMPTY), 0);
+    }
+
+    #[test]
+    fn heap_stays_within_bit_budget() {
+        // 4096 positions in documents of 8, over a 3-letter alphabet.
+        let n = 4096usize;
+        let text: Vec<u8> = (0..n).map(|i| b'a' + ((i * i + i / 8) % 3) as u8).collect();
+        let doc_of: Vec<u32> = (0..n as u32).map(|i| i / 8).collect();
+        let counter = DocDistinctCounter::build(&SuffixArray::from_bytes(&text), &doc_of);
+        let bits = (usize::BITS - n.leading_zeros()) as usize; // ⌈log₂(N + 1)⌉
+        let budget = (1.6 * (n * bits) as f64 / 8.0) as usize + 1024;
+        assert!(counter.heap_bytes() <= budget, "{} > {budget}", counter.heap_bytes());
     }
 }

@@ -4,12 +4,16 @@
 use dp_substring_counting::strkit::alphabet::{Alphabet, Database};
 use dp_substring_counting::strkit::lce::Lce;
 use dp_substring_counting::strkit::lcp::{naive_lcp, LcpArray};
-use dp_substring_counting::strkit::search::count_occurrences;
+use dp_substring_counting::strkit::search::{count_occurrences, SaInterval};
 use dp_substring_counting::strkit::suffix_array::{naive_suffix_array, SuffixArray};
 use dp_substring_counting::strkit::trie::Trie;
 use dp_substring_counting::strkit::{naive_contains, naive_count};
-use dp_substring_counting::textindex::{depth_groups, CorpusIndex, MergeSortTree};
+use dp_substring_counting::textindex::{
+    depth_groups, CorpusIndex, DocDistinctCounter, WaveletMatrix,
+};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 fn small_text() -> impl Strategy<Value = Vec<u8>> {
     proptest::collection::vec(proptest::sample::select(vec![b'a', b'b', b'c']), 0..60)
@@ -103,15 +107,16 @@ proptest! {
     }
 
     #[test]
-    fn mergesort_tree_matches_naive(
-        values in proptest::collection::vec(-50i64..50, 0..50),
-        bound in -60i64..60,
+    fn wavelet_matrix_matches_naive(
+        values in proptest::sample::select(vec![0usize, 1, 17, 50, 63, 64, 65, 128, 129])
+            .prop_flat_map(|n| proptest::collection::vec(0u32..100, n..n + 1)),
+        bound in 0u32..120,
     ) {
-        let tree = MergeSortTree::build(&values);
+        let wm = WaveletMatrix::build(values.clone());
         for lo in 0..=values.len() {
             for hi in lo..=values.len() {
                 let want = values[lo..hi].iter().filter(|&&v| v < bound).count();
-                prop_assert_eq!(tree.count_less(lo, hi, bound), want);
+                prop_assert_eq!(wm.count_less(lo, hi, bound), want);
             }
         }
     }
@@ -138,5 +143,61 @@ proptest! {
         prop_assert_eq!(visited.len(), trie.len());
         let set: std::collections::HashSet<u32> = visited.into_iter().collect();
         prop_assert_eq!(set.len(), trie.len());
+    }
+}
+
+/// Seeded multi-document corpora, plus a single-document corpus and one of
+/// identical documents: `DocDistinctCounter::distinct` and
+/// `CorpusIndex::document_count_in_interval` against a naive distinct count
+/// on every suffix-array interval (empty, width 1 and full included), and
+/// `CorpusIndex::document_count` against `naive_contains` on every substring.
+#[test]
+fn document_counts_match_naive_on_random_corpora() {
+    let mut corpora: Vec<Vec<Vec<u8>>> =
+        vec![vec![b"abcabca".to_vec()], vec![b"abab".to_vec(); 4], vec![b"c".to_vec(); 3]];
+    for seed in 0..24u64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n_docs = rng.gen_range(1..8usize);
+        let mut docs: Vec<Vec<u8>> = Vec::with_capacity(n_docs);
+        for i in 0..n_docs {
+            if i > 0 && rng.gen_bool(0.3) {
+                let j = rng.gen_range(0..i);
+                docs.push(docs[j].clone());
+            } else {
+                let len = rng.gen_range(1..13usize);
+                docs.push((0..len).map(|_| b'a' + rng.gen_range(0..3u8)).collect());
+            }
+        }
+        corpora.push(docs);
+    }
+    for docs in corpora {
+        let db = Database::from_documents(Alphabet::lowercase(3), docs.clone()).unwrap();
+        let idx = CorpusIndex::build(&db);
+        let n = idx.text_len();
+        let doc_of: Vec<u32> = (0..n).map(|p| idx.doc_of(p) as u32).collect();
+        let counter = DocDistinctCounter::build(idx.suffix_array(), &doc_of);
+        let sa = idx.suffix_array().sa();
+        for lo in 0..=n {
+            let mut seen = std::collections::HashSet::new();
+            for hi in lo..=n {
+                if hi > lo {
+                    seen.insert(doc_of[sa[hi - 1] as usize]);
+                }
+                let iv = SaInterval { lo: lo as u32, hi: hi as u32 };
+                assert_eq!(counter.distinct(iv), seen.len(), "{docs:?} [{lo},{hi})");
+                assert_eq!(idx.document_count_in_interval(iv), seen.len());
+            }
+        }
+        assert_eq!(idx.document_count(b""), docs.len());
+        assert_eq!(idx.document_count(b"cccccccccccccc"), 0);
+        for doc in &docs {
+            for i in 0..doc.len() {
+                for j in i + 1..=doc.len() {
+                    let p = &doc[i..j];
+                    let want = docs.iter().filter(|d| naive_contains(p, d)).count();
+                    assert_eq!(idx.document_count(p), want, "{docs:?} pattern {p:?}");
+                }
+            }
+        }
     }
 }
