@@ -435,7 +435,6 @@ fn audit_observability_surfaces() -> ScenarioResult {
     let manager = Arc::new(ShardManager::new());
     manager.install(0, frozen, 0);
     let config = ServerConfig {
-        workers: 2,
         slow_op_threshold: Some(Duration::from_nanos(1)),
         ..ServerConfig::default()
     };

@@ -628,7 +628,6 @@ fn robustness_scenario(shards: &[BuiltShard]) -> RobustnessResult {
 
     let manager = Arc::new(ShardManager::new());
     let config = ServerConfig {
-        workers: 2,
         max_conns: 2,
         read_deadline: Some(Duration::from_millis(150)),
         idle_timeout: Some(Duration::from_millis(400)),
@@ -707,8 +706,7 @@ fn robustness_scenario(shards: &[BuiltShard]) -> RobustnessResult {
     // bit-identical to the pre-crash rolled-back epoch.
     let t0 = Instant::now();
     let manager = Arc::new(ShardManager::new());
-    let config =
-        ServerConfig { workers: 2, store_dir: Some(dir.clone()), ..ServerConfig::default() };
+    let config = ServerConfig { store_dir: Some(dir.clone()), ..ServerConfig::default() };
     let handle = Server::spawn(config, manager).expect("recovery daemon binds");
     let mut client = Client::connect(handle.addr()).expect("recovery client connects");
     let served: Vec<u64> = client
@@ -765,18 +763,13 @@ struct OverheadResult {
 /// Measures [`OverheadResult`]: best-of-3 pipelined replays per config,
 /// shards installed in-process (identical bits to the wire-shipped ones,
 /// so the replay's differential check still holds).
-fn overhead_scenario(
-    shards: &[BuiltShard],
-    workloads: &[ConnWorkload],
-    workers: usize,
-) -> OverheadResult {
+fn overhead_scenario(shards: &[BuiltShard], workloads: &[ConnWorkload]) -> OverheadResult {
     let run = |observability: bool| -> f64 {
         let manager = Arc::new(ShardManager::new());
         for s in shards {
             manager.install(s.spec.shard_id, s.frozen.clone(), s.bytes_v2.len());
         }
         let config = ServerConfig {
-            workers,
             trace_capacity: if observability { 1024 } else { 0 },
             slow_op_threshold: observability.then(|| Duration::from_millis(50)),
             ..ServerConfig::default()
@@ -832,7 +825,6 @@ struct RunResult {
     overhead: OverheadResult,
 }
 
-#[allow(clippy::too_many_arguments)]
 fn to_json(
     shards: &[BuiltShard],
     lats: &[(f64, f64)],
@@ -840,7 +832,6 @@ fn to_json(
     run: &RunResult,
     tier: &str,
     repeats: usize,
-    workers: usize,
 ) -> String {
     let mut out = String::new();
     out.push_str("{\n");
@@ -848,7 +839,6 @@ fn to_json(
     out.push_str(&format!("  \"seed\": {BASE_SEED},\n"));
     out.push_str(&format!("  \"tier\": \"{tier}\",\n"));
     out.push_str(&format!("  \"repeats\": {repeats},\n"));
-    out.push_str(&format!("  \"workers\": {workers},\n"));
     out.push_str(&format!(
         "  \"hardware_threads\": {},\n",
         std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1)
@@ -869,7 +859,7 @@ fn to_json(
          their digests are deterministic, qps fields are not. metrics.patterns_total is \
          the daemon's own counter, asserted equal to generator_patterns_total at \
          runtime. metrics.op_query_batch_* comes from the daemon's per-op histogram, \
-         loop_* from the readiness event loop (zero on the thread-pool core). overhead \
+         loop_* from the daemon's event loop. overhead \
          compares the same pipelined replay against a daemon with full observability \
          (default) vs trace_capacity = 0 bare counters; CI gates overhead_frac at \
          0.05.\",\n",
@@ -1005,10 +995,6 @@ pub fn serve_throughput() -> Table {
     let full = std::env::var("DPSC_SERVE_FULL").map(|v| v == "1").unwrap_or(false);
     let (tier, repeats, connections, requests_per_conn, batch) =
         if full { ("full", 3, 8, 1200, 16) } else { ("fast", 2, 4, 600, 16) };
-    // Each worker owns one connection for its lifetime, so the pool must
-    // match the generator's concurrency or queued connections would record
-    // wave-sized latencies.
-    let workers = connections;
 
     // ---- Build the shards and the deterministic workloads -----------------
     let shards: Vec<BuiltShard> =
@@ -1028,9 +1014,8 @@ pub fn serve_throughput() -> Table {
 
     // ---- Daemon up, snapshots shipped over the wire -----------------------
     let manager = Arc::new(ShardManager::new());
-    let handle =
-        Server::spawn(ServerConfig { workers, ..ServerConfig::default() }, Arc::clone(&manager))
-            .expect("daemon binds a loopback port");
+    let handle = Server::spawn(ServerConfig::default(), Arc::clone(&manager))
+        .expect("daemon binds a loopback port");
     let addr = handle.addr();
     {
         let mut admin = Client::connect(addr).expect("admin connects");
@@ -1119,7 +1104,7 @@ pub fn serve_throughput() -> Table {
     let robustness = robustness_scenario(&shards);
 
     // ---- Instrumentation overhead: full observability vs bare counters ----
-    let overhead = overhead_scenario(&shards, &workloads, workers);
+    let overhead = overhead_scenario(&shards, &workloads);
 
     let run = RunResult {
         connections,
@@ -1148,10 +1133,9 @@ pub fn serve_throughput() -> Table {
     };
 
     std::fs::create_dir_all("results").ok();
-    if let Err(e) = std::fs::write(
-        BENCH_PATH,
-        to_json(&shards, &lats, &cold_lats, &run, tier, repeats, workers),
-    ) {
+    if let Err(e) =
+        std::fs::write(BENCH_PATH, to_json(&shards, &lats, &cold_lats, &run, tier, repeats))
+    {
         eprintln!("[serve_throughput] failed writing {BENCH_PATH}: {e}");
     }
 
@@ -1204,7 +1188,7 @@ pub fn serve_throughput() -> Table {
         ]);
     }
     t.note(format!(
-        "tier = {tier}, repeats = {repeats} (best kept), {workers} server workers, batch = \
+        "tier = {tier}, repeats = {repeats} (best kept), batch = \
          {batch} patterns/request, pipelined bursts of {BURST} requests. Zipf(s = {ZIPF_S}) \
          present mix ({:.0}%), digests deterministic; raw artifact: {BENCH_PATH}.",
         PRESENT_FRAC * 100.0

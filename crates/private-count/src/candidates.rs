@@ -22,7 +22,7 @@
 //! (\[7,8\]); we answer them with rolling hashes: each level precomputes the
 //! map *hash of distinct `2^k`-substring → SA interval* (one LCP scan via
 //! [`dpsc_textindex::depth_groups`]) in a reusable open-addressed table
-//! ([`IntervalTable`]), so a pair lookup is `O(1)` expected with no hashing
+//! (`IntervalTable`), so a pair lookup is `O(1)` expected with no hashing
 //! beyond a fingerprint mix and no per-level allocator round trip.
 //! Suffix/prefix overlaps for `C_m` are hash comparisons over a pooled
 //! candidate buffer. See DESIGN.md §2 for the substitution rationale.

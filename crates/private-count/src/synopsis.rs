@@ -523,7 +523,7 @@ impl FrozenSynopsis {
 
     /// Answers a batch of queries in order. One output allocation; the
     /// per-pattern lookups are allocation-free and advance four patterns
-    /// per iteration ([`Self::locate4`]) to hide load latency.
+    /// per iteration (`locate4`) to hide load latency.
     pub fn query_batch(&self, patterns: &[&[u8]]) -> Vec<f64> {
         let mut out = vec![0.0f64; patterns.len()];
         self.query_batch_into(patterns, &mut out);

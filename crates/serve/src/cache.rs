@@ -10,7 +10,7 @@
 //! returns, because that walk is exactly what populated it.
 //!
 //! Concurrency: the key space is split across segments by key
-//! fingerprint, each behind its own mutex, so worker threads serving
+//! fingerprint, each behind its own mutex, so concurrent callers serving
 //! different patterns rarely contend. Within a segment, entries form a
 //! doubly-linked LRU list over a slab; the map from fingerprint to slab
 //! slot confirms the full key on every probe (same fingerprint-probe +
@@ -164,7 +164,7 @@ fn key_fingerprint(shard: u32, epoch: u64, pattern: &[u8]) -> u64 {
     h
 }
 
-/// The serving-layer query cache: [`SEGMENTS`] independently locked LRU
+/// The serving-layer query cache: `SEGMENTS` independently locked LRU
 /// segments plus global hit/miss counters.
 pub struct QueryCache {
     segments: Vec<Mutex<Segment>>,

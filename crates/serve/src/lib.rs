@@ -5,7 +5,7 @@
 //! querying side a real service. Everything here is post-processing of
 //! released synopses — no privacy accounting happens at serving time.
 //!
-//! Std-only (no registry dependencies), four layers:
+//! Std-only (no registry dependencies), in layers:
 //!
 //! * [`wire`] — the versioned length-prefixed binary protocol
 //!   (`DPSQ`/`DPSR` frames: magic, LE framing, FNV-1a checksum,
@@ -21,13 +21,13 @@
 //!   `(shard, epoch, pattern)`, so a hot swap invalidates by
 //!   construction (old epochs become unaddressable) and hits are
 //!   bit-identical to cold walks of the same epoch.
-//! * [`metrics`] — [`MetricsRegistry`](metrics::MetricsRegistry):
+//! * [`metrics`] — [`MetricsRegistry`]:
 //!   lock-free per-op counters, global/per-op/per-shard fixed-bucket
 //!   latency histograms, event-loop utilization, and a slow-op log,
 //!   snapshotted by the `Metrics` wire op and rendered as a
 //!   Prometheus-style text exposition by `MetricsText`.
-//! * [`trace`] — [`TraceRing`](trace::TraceRing): a bounded lock-free
-//!   ring of structured [`TraceEvent`](trace::TraceEvent)s (connection
+//! * [`trace`] — [`TraceRing`]: a bounded lock-free
+//!   ring of structured [`TraceEvent`]s (connection
 //!   lifecycle, frame service, snapshot-store crash points, overload
 //!   decisions), drained over the wire by the `Trace` op. Events carry
 //!   pattern fingerprints and lengths only — never pattern bytes.
@@ -35,15 +35,15 @@
 //!   store (write-temp → fsync → rename → fsync(dir) under a
 //!   checksummed append-only `MANIFEST`), with epoch retention, the
 //!   `Rollback` wire op's backing re-install, and a deterministic
-//!   fault-injection [`StoreIo`](store::StoreIo) layer for enumerating
+//!   fault-injection [`StoreIo`] layer for enumerating
 //!   crash points under test.
-//! * [`poll`] (Linux) — a std-only edge-triggered epoll wrapper plus a
-//!   self-pipe waker, the readiness layer under the default server core.
-//! * [`server`] / [`client`] — the TCP daemon (readiness event loop on
-//!   Linux, portable thread-pool fallback; see
-//!   [`CoreKind`](server::CoreKind)) with per-connection request
-//!   batching, and the blocking client used by the examples, tests, and
-//!   the `serve_throughput` load generator.
+//! * [`poll`] — a std-only edge-triggered epoll wrapper plus a
+//!   self-pipe waker, the readiness layer under the server's event loop.
+//! * [`server`] / [`client`] — the TCP daemon (one epoll event loop)
+//!   with per-connection request batching, and the blocking client used
+//!   by the examples, tests, and the `serve_throughput` load generator.
+//!
+//! The crate is Linux-only: the daemon is built on epoll.
 //!
 //! ```no_run
 //! use std::sync::Arc;
@@ -60,10 +60,12 @@
 //! handle.shutdown();
 //! ```
 
+#[cfg(not(target_os = "linux"))]
+compile_error!("dpsc-serve requires Linux (epoll)");
+
 pub mod cache;
 pub mod client;
 pub mod metrics;
-#[cfg(target_os = "linux")]
 pub mod poll;
 pub mod server;
 pub mod shard;
@@ -74,7 +76,7 @@ pub mod wire;
 pub use cache::QueryCache;
 pub use client::{Client, ClientConfig, ClientError, RetryPolicy};
 pub use metrics::{render_prometheus, MetricsRegistry, OpKind, OpObservation};
-pub use server::{CoreKind, Server, ServerConfig, ServerHandle, ShutdownPolicy};
+pub use server::{Server, ServerConfig, ServerHandle, ShutdownPolicy};
 pub use shard::{ShardManager, ShardSnapshot};
 pub use store::{
     FaultPlan, FaultyIo, RealIo, RecoveredSnapshot, SnapshotStore, StoreError, StoreIo,

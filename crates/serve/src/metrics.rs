@@ -253,7 +253,7 @@ impl OpObservation {
 }
 
 /// The daemon-wide metrics state. One instance per [`crate::Server`],
-/// shared by whichever core (readiness or thread-pool) serves traffic.
+/// shared by the event loop and the installer thread.
 #[derive(Debug)]
 pub struct MetricsRegistry {
     start: Instant,

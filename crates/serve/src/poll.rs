@@ -6,7 +6,7 @@
 //! PR 1 vendoring pattern: declare exactly the C entry points we need
 //! (`epoll_create1`, `epoll_ctl`, `epoll_wait`, `pipe2`, `read`,
 //! `write`) against the libc that `std` already links, and wrap them in
-//! a minimal safe API. Everything `unsafe` lives in the [`sys`]
+//! a minimal safe API. Everything `unsafe` lives in the `sys`
 //! submodule behind four shim functions; the rest of the crate stays
 //! under the workspace `unsafe_code = "deny"` lint.
 //!
@@ -22,13 +22,10 @@
 //!   reason a 10k-connection daemon does not re-scan 10k fds per wake.
 //! * [`WakePipe`] — a non-blocking self-pipe whose read end is
 //!   registered like any connection; writing one byte from any thread
-//!   wakes `epoll_wait` immediately. This replaces the old 100 ms
-//!   read-timeout shutdown polls: shutdown latency is now one pipe write,
-//!   not a poll interval.
+//!   wakes `epoll_wait` immediately, so shutdown latency is one pipe
+//!   write, not a poll interval.
 //!
-//! This module is `cfg(target_os = "linux")`; on other platforms the
-//! server falls back to the portable thread-pool core behind the same
-//! `Server` API (see `server::CoreKind`).
+//! epoll is Linux-only, and so is this crate.
 
 use std::io;
 use std::os::fd::{AsRawFd, OwnedFd, RawFd};

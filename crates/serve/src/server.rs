@@ -1,25 +1,20 @@
-//! The TCP serving daemon, with two interchangeable cores behind one
-//! `Server` API:
+//! The TCP serving daemon: a single event-loop thread multiplexing every
+//! connection over [`crate::poll`]'s edge-triggered epoll wrapper. Each
+//! connection is an explicit state machine
+//! (`ReadingFrame → Answering → Writing{offset}`) over the incremental
+//! frame decoder; accept is non-blocking; shutdown is a self-pipe write
+//! (no poll interval); and a per-connection outbound high-water mark
+//! provides write backpressure (reading pauses — `EPOLLIN` deregistered
+//! — until the queue drains). Concurrency is bounded by fds, not
+//! threads: 10k+ connections are one thread and one epoll set. The
+//! poller, the self-pipe and the listener registration are created by
+//! [`Server::bind`], so a [`ServerHandle::shutdown`] that races startup
+//! still wakes the loop.
 //!
-//! * **Readiness core** (Linux, the default): a single event-loop thread
-//!   multiplexing every connection over [`crate::poll`]'s edge-triggered
-//!   epoll wrapper. Each connection is an explicit state machine
-//!   (`ReadingFrame → Answering → Writing{offset}`) over the incremental
-//!   frame decoder; accept is non-blocking; shutdown is a self-pipe
-//!   write (no poll interval); and a per-connection outbound high-water
-//!   mark provides write backpressure (reading pauses — `EPOLLIN`
-//!   deregistered — until the queue drains). Concurrency is bounded by
-//!   fds, not threads: 10k+ connections are one thread and one epoll
-//!   set.
-//! * **Thread-pool core** (portable fallback, and selectable for tests):
-//!   the original acceptor + `workers` scoped threads, each owning one
-//!   connection at a time, with 100 ms read-timeout shutdown polls.
-//!   Concurrency is capped at `workers`; connections beyond that queue.
-//!
-//! Both cores share the request path ([`Server::answer`]), the
-//! per-round snapshot pinning that keeps every `QueryBatch` on exactly
-//! one epoch, the [`QueryCache`], the [`MetricsRegistry`] counters, and
-//! the connection-lifecycle contract:
+//! Every request goes through one path: per-round snapshot pinning that
+//! keeps every `QueryBatch` on exactly one epoch, the [`QueryCache`],
+//! the [`MetricsRegistry`] counters, and the connection-lifecycle
+//! contract:
 //!
 //! * a **corrupt length prefix** — first frame or fiftieth — is answered
 //!   with an error frame, the answer is flushed, and only then is the
@@ -31,7 +26,7 @@
 //!   peers get an error response and stay connected.
 //!
 //! ## Consistency invariant
-//! For each processing round a core pins at most one [`ShardSnapshot`]
+//! For each processing round the loop pins at most one [`ShardSnapshot`]
 //! per shard id (first use pins it; a `LoadSnapshot` in the middle of a
 //! round un-pins, so later requests see the new epoch). Every individual
 //! request — in particular every `QueryBatch` — is therefore answered
@@ -49,17 +44,17 @@
 //! [`ServerConfig::max_conns`] sheds connections beyond the admission
 //! bound with a retryable `Overloaded` frame, and
 //! [`ServerConfig::read_deadline`] / [`ServerConfig::idle_timeout`]
-//! evict mid-frame stalls (slow-loris) and silent idlers on both cores.
-//! On the readiness core, snapshot installs decode and persist on a
-//! dedicated installer thread so a multi-MB `LoadSnapshot` never stalls
-//! unrelated connections.
+//! evict mid-frame stalls (slow-loris) and silent idlers. Snapshot
+//! installs decode and persist on a dedicated installer thread so a
+//! multi-MB `LoadSnapshot` never stalls unrelated connections.
 
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
-use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, SocketAddr, TcpListener, TcpStream};
+use std::os::fd::AsRawFd;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{Receiver, Sender};
+use std::sync::mpsc::Sender;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -68,41 +63,13 @@ use dpsc_private_count::FrozenSynopsis;
 
 use crate::cache::QueryCache;
 use crate::metrics::{render_prometheus, MetricsRegistry, OpKind, OpObservation};
+use crate::poll::{Interest, Poller, WakePipe, Waker};
 use crate::shard::{ShardManager, ShardSnapshot};
 use crate::store::SnapshotStore;
 use crate::trace::{TraceEvent, TraceKind};
 use crate::wire::{
     decode_request, encode_response, frame_len, CacheStats, Request, Response, ServerStats,
 };
-
-/// Which serving core [`Server::run`] drives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CoreKind {
-    /// Readiness core on Linux, thread-pool elsewhere.
-    #[default]
-    Auto,
-    /// The epoll event loop. Falls back to [`CoreKind::ThreadPool`] on
-    /// platforms without the poller.
-    Readiness,
-    /// The portable blocking worker pool.
-    ThreadPool,
-}
-
-impl CoreKind {
-    /// The core that will actually run on this platform.
-    pub fn resolved(self) -> CoreKind {
-        match self {
-            CoreKind::ThreadPool => CoreKind::ThreadPool,
-            CoreKind::Auto | CoreKind::Readiness => {
-                if cfg!(target_os = "linux") {
-                    CoreKind::Readiness
-                } else {
-                    CoreKind::ThreadPool
-                }
-            }
-        }
-    }
-}
 
 /// Who may ask the daemon to exit over the wire. The default is
 /// loopback-only: a daemon bound to `0.0.0.0` serves queries to anyone
@@ -141,20 +108,14 @@ pub struct ServerConfig {
     /// Address to bind; port 0 picks an ephemeral port (see
     /// [`Server::local_addr`]).
     pub addr: String,
-    /// Worker threads for the thread-pool core (each serves one
-    /// connection at a time; clamped to at least 1). The readiness core
-    /// ignores this — its concurrency is per-fd, not per-thread.
-    pub workers: usize,
     /// Total query-cache capacity in entries; 0 disables caching.
     pub cache_capacity: usize,
-    /// Which core serves traffic.
-    pub core: CoreKind,
     /// Who may shut the daemon down over the wire.
     pub shutdown_policy: ShutdownPolicy,
-    /// Per-connection outbound high-water mark in bytes (readiness core):
-    /// above it the connection stops reading (and answering) until the
-    /// peer drains its responses. The budget is checked between frames,
-    /// so one response can always be queued no matter how small this is
+    /// Per-connection outbound high-water mark in bytes: above it the
+    /// connection stops reading (and answering) until the peer drains
+    /// its responses. The budget is checked between frames, so one
+    /// response can always be queued no matter how small this is
     /// (clamped to ≥ 1 KiB to keep re-arm churn sane).
     pub write_high_water: usize,
     /// Crash-safe snapshot store directory. When set, `bind` opens (and
@@ -196,9 +157,7 @@ impl Default for ServerConfig {
     fn default() -> Self {
         Self {
             addr: "127.0.0.1:0".to_string(),
-            workers: 4,
             cache_capacity: 8192,
-            core: CoreKind::Auto,
             shutdown_policy: ShutdownPolicy::LoopbackOnly,
             write_high_water: 1 << 20,
             store_dir: None,
@@ -213,19 +172,6 @@ impl Default for ServerConfig {
     }
 }
 
-/// A cloneable handle that wakes the readiness event loop from another
-/// thread. On platforms without the poller this is a unit stub — the
-/// thread-pool core is woken by a loopback connect instead.
-#[cfg(target_os = "linux")]
-type LoopWaker = crate::poll::Waker;
-#[cfg(not(target_os = "linux"))]
-#[derive(Debug, Clone)]
-struct LoopWaker;
-#[cfg(not(target_os = "linux"))]
-impl LoopWaker {
-    fn wake(&self) {}
-}
-
 /// The serving daemon. Bind with [`Server::bind`], then either block the
 /// current thread in [`Server::run`] or detach with [`Server::spawn`].
 #[derive(Debug)]
@@ -235,8 +181,6 @@ pub struct Server {
     manager: Arc<ShardManager>,
     cache: QueryCache,
     metrics: Arc<MetricsRegistry>,
-    workers: usize,
-    core: CoreKind,
     shutdown_policy: ShutdownPolicy,
     write_high_water: usize,
     store: Option<Arc<SnapshotStore>>,
@@ -244,9 +188,13 @@ pub struct Server {
     read_deadline: Option<Duration>,
     idle_timeout: Option<Duration>,
     shutdown: Arc<AtomicBool>,
-    /// Filled by the readiness loop on startup so [`ServerHandle`] can
-    /// wake it; `None` while (or wherever) the thread-pool core runs.
-    waker: Arc<Mutex<Option<LoopWaker>>>,
+    /// The event loop's epoll set, with the listener and the self-pipe
+    /// registered since [`Server::bind`].
+    poller: Poller,
+    wake: WakePipe,
+    /// Wakes the loop from the installer thread and from
+    /// [`ServerHandle::shutdown`].
+    waker: Waker,
 }
 
 /// Handle to a daemon detached via [`Server::spawn`].
@@ -254,7 +202,7 @@ pub struct Server {
 pub struct ServerHandle {
     addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
-    waker: Arc<Mutex<Option<LoopWaker>>>,
+    waker: Waker,
     join: std::thread::JoinHandle<()>,
 }
 
@@ -265,42 +213,14 @@ impl ServerHandle {
     }
 
     /// Stops the daemon and joins its threads: sets the shutdown flag,
-    /// wakes the core (self-pipe for the event loop, a throwaway
-    /// loopback connection for the blocking acceptor), and waits for the
-    /// serving thread to drain.
+    /// wakes the event loop through its self-pipe, and waits for the
+    /// serving thread to drain. The pipe is registered at bind time, so
+    /// a wake sent before the loop first waits is still delivered.
     pub fn shutdown(self) {
         self.shutdown.store(true, Ordering::SeqCst);
-        let waker = self.waker.lock().expect("waker slot not poisoned").clone();
-        match waker {
-            Some(w) => w.wake(),
-            // Thread-pool core, or an event loop that has not registered
-            // its waker yet: a loopback connect wakes either (the pending
-            // accept is observed by whichever core starts).
-            None => wake_acceptor(self.addr),
-        }
+        self.waker.wake();
         let _ = self.join.join();
     }
-}
-
-/// The address a *local* throwaway connection can actually reach. A
-/// daemon bound to a wildcard (`0.0.0.0:p` or `[::]:p`) reports the
-/// wildcard as its local address, but connecting *to* the unspecified
-/// address is not reliably routable — so the shutdown wake must aim at
-/// loopback with the bound port instead.
-fn wake_addr(bound: SocketAddr) -> SocketAddr {
-    let ip = match bound.ip() {
-        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
-        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
-        ip => ip,
-    };
-    SocketAddr::new(ip, bound.port())
-}
-
-/// Wakes a blocked `accept` with a throwaway loopback connection. Bounded
-/// by a short timeout so shutdown can never hang on a dead route; if the
-/// connect fails the acceptor still exits on its next organic wake.
-fn wake_acceptor(bound: SocketAddr) {
-    let _ = TcpStream::connect_timeout(&wake_addr(bound), Duration::from_secs(1));
 }
 
 /// After this many doublings the accept backoff stops growing:
@@ -318,11 +238,6 @@ fn accept_backoff(consecutive_errors: u32) -> Duration {
     )
 }
 
-/// Bound on buffered-but-unanswered inbound bytes per connection per
-/// round. Whatever stays unread waits in the kernel buffer — TCP
-/// backpressure — for the next round.
-const DRAIN_CAP: usize = 4 << 20;
-
 /// What one processing round did to a connection.
 #[derive(Debug, Default)]
 struct RoundStatus {
@@ -332,21 +247,28 @@ struct RoundStatus {
     /// An honored `Shutdown` request: the ack is queued; the daemon
     /// stops once it is flushed.
     shutdown: bool,
-    /// An install (`LoadSnapshot`/`Rollback`) the caller asked to defer:
-    /// the frame is consumed, the round stopped (responses stay in
-    /// request order), and the request handed back for off-thread
-    /// execution.
+    /// An install (`LoadSnapshot`/`Rollback`): the frame is consumed,
+    /// the round stopped (responses stay in request order), and the
+    /// request handed back for the installer thread.
     deferred: Option<Request>,
 }
 
 impl Server {
-    /// Binds the listener (no threads yet). When a snapshot store is
-    /// configured this also replays its manifest: the newest valid epoch
-    /// per corpus starts serving before the first connection is
-    /// accepted, and `recoveries_total` counts the replayed corpora.
+    /// Binds the listener and registers it, with the loop's self-pipe,
+    /// in a fresh epoll set (no threads yet). Fails if epoll or the pipe
+    /// is unavailable. When a snapshot store is configured this also
+    /// replays its manifest: the newest valid epoch per corpus starts
+    /// serving before the first connection is accepted, and
+    /// `recoveries_total` counts the replayed corpora.
     pub fn bind(config: ServerConfig, manager: Arc<ShardManager>) -> std::io::Result<Self> {
         let listener = TcpListener::bind(config.addr.as_str())?;
         let local_addr = listener.local_addr()?;
+        listener.set_nonblocking(true)?;
+        let poller = Poller::new()?;
+        let wake = WakePipe::new()?;
+        let waker = wake.waker()?;
+        poller.add(listener.as_raw_fd(), readiness::TOKEN_LISTENER, Interest::READ)?;
+        poller.add(wake.read_fd(), readiness::TOKEN_WAKE, Interest::READ)?;
         let slow_ns =
             config.slow_op_threshold.map_or(0, |d| d.as_nanos().min(u64::MAX as u128) as u64);
         let metrics = Arc::new(MetricsRegistry::with_observability(config.trace_capacity, slow_ns));
@@ -386,8 +308,6 @@ impl Server {
             manager,
             cache: QueryCache::new(config.cache_capacity),
             metrics,
-            workers: config.workers.max(1),
-            core: config.core,
             shutdown_policy: config.shutdown_policy,
             write_high_water: config.write_high_water.max(1024),
             store,
@@ -395,7 +315,9 @@ impl Server {
             read_deadline: config.read_deadline,
             idle_timeout: config.idle_timeout,
             shutdown: Arc::new(AtomicBool::new(false)),
-            waker: Arc::new(Mutex::new(None)),
+            poller,
+            wake,
+            waker,
         })
     }
 
@@ -409,25 +331,9 @@ impl Server {
         self.local_addr
     }
 
-    /// The core this server will serve with on this platform.
-    pub fn core(&self) -> CoreKind {
-        self.core.resolved()
-    }
-
-    /// The daemon's metrics registry (shared with whichever core runs).
+    /// The daemon's metrics registry.
     pub fn metrics(&self) -> &Arc<MetricsRegistry> {
         &self.metrics
-    }
-
-    /// Serves until shutdown (via an admitted `Shutdown` frame or a
-    /// [`ServerHandle`]), blocking the calling thread. Dispatches to the
-    /// resolved [`CoreKind`].
-    pub fn run(&self) {
-        match self.core.resolved() {
-            #[cfg(target_os = "linux")]
-            CoreKind::Readiness => self.run_readiness(),
-            _ => self.run_thread_pool(),
-        }
     }
 
     /// Binds and detaches the daemon onto a background thread.
@@ -438,216 +344,13 @@ impl Server {
         let server = Self::bind(config, manager)?;
         let addr = server.local_addr();
         let shutdown = Arc::clone(&server.shutdown);
-        let waker = Arc::clone(&server.waker);
+        let waker = server.waker.clone();
         let join = std::thread::spawn(move || server.run());
         Ok(ServerHandle { addr, shutdown, waker, join })
     }
 
     // ------------------------------------------------------------------
-    // The portable thread-pool core.
-    // ------------------------------------------------------------------
-
-    /// Runs the accept loop on the calling thread and the worker pool on
-    /// scoped threads; workers borrow the server state directly — the
-    /// scope guarantees they end before `run` returns.
-    fn run_thread_pool(&self) {
-        // Each admitted connection travels with its id and accept time,
-        // so accept-to-first-response includes the queueing delay behind
-        // busy workers — exactly the latency the admission bound trades.
-        type Admitted = (u64, Instant, TcpStream);
-        let (tx, rx): (Sender<Admitted>, Receiver<Admitted>) = std::sync::mpsc::channel();
-        let rx = Mutex::new(rx);
-        std::thread::scope(|scope| {
-            for _ in 0..self.workers {
-                scope.spawn(|| self.worker_loop(&rx));
-            }
-            // Consecutive accept failures (EMFILE/ENFILE under fd
-            // exhaustion persists until *something* closes) must not
-            // busy-spin the acceptor at 100% CPU: back off exponentially,
-            // bounded, and reset on the next successful accept.
-            let mut accept_errors = 0u32;
-            for conn in self.listener.incoming() {
-                if self.shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-                match conn {
-                    Ok(stream) => {
-                        accept_errors = 0;
-                        // Admission bound: shed instead of queueing
-                        // unboundedly behind busy workers. Counting at
-                        // the acceptor (not the worker) makes queued
-                        // connections count against the bound too.
-                        if self.metrics.conns_open_now() >= self.max_conns as u64 {
-                            self.shed_overloaded(stream);
-                            continue;
-                        }
-                        let conn_id = self.metrics.conn_opened();
-                        self.trace_emit(TraceEvent {
-                            conn: conn_id,
-                            ..TraceEvent::new(TraceKind::ConnAccepted)
-                        });
-                        // Send fails only if all workers exited (shutdown).
-                        if tx.send((conn_id, Instant::now(), stream)).is_err() {
-                            break;
-                        }
-                    }
-                    Err(_) => {
-                        accept_errors = accept_errors.saturating_add(1);
-                        std::thread::sleep(accept_backoff(accept_errors));
-                    }
-                }
-            }
-            drop(tx); // workers drain the queue, then see Err and exit
-        });
-    }
-
-    fn worker_loop(&self, rx: &Mutex<Receiver<(u64, Instant, TcpStream)>>) {
-        loop {
-            let stream = {
-                let guard = rx.lock().expect("connection queue not poisoned");
-                guard.recv()
-            };
-            match stream {
-                Ok((conn_id, accepted_at, stream)) => {
-                    self.handle_connection(conn_id, accepted_at, stream)
-                }
-                Err(_) => return, // acceptor gone: shutdown
-            }
-        }
-    }
-
-    /// Serves one connection to completion (client close, shutdown, or a
-    /// fatal framing/IO error).
-    fn handle_connection(&self, conn_id: u64, accepted_at: Instant, stream: TcpStream) {
-        // conn_opened is recorded by the acceptor (admission bound).
-        let _ = stream.set_nodelay(true);
-        // A finite read timeout turns blocking reads into shutdown polls.
-        let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
-        // A bounded write timeout keeps a client that stops *reading* from
-        // wedging this worker forever on a full send buffer (write_all
-        // failing with TimedOut/WouldBlock drops the connection below),
-        // which would otherwise also hang ServerHandle::shutdown's join.
-        let _ = stream.set_write_timeout(Some(Duration::from_secs(10)));
-        // An unknowable peer cannot be loopback: shutdown stays gated.
-        let peer = stream.peer_addr().map(|a| a.ip()).unwrap_or(IpAddr::V4(Ipv4Addr::UNSPECIFIED));
-        let mut stream = stream;
-        let mut buf = RecvBuf::new();
-        let mut out: Vec<u8> = Vec::with_capacity(4096);
-        let mut peer_closed = false;
-        let mut first_resp_pending = true;
-        // Abuse tracking: when the current *incomplete* frame was first
-        // observed (read deadline — trickled bytes do not reset it) and
-        // when this connection last finished a round (idle timeout).
-        let mut frame_start: Option<Instant> = None;
-        let mut round_end = Instant::now();
-
-        'conn: loop {
-            // Phase 1: block (in timeout slices) until one complete frame.
-            // A corrupt length prefix falls through to the processing
-            // round, which queues the error response — same error-then-
-            // close contract as a corrupt frame later in the stream.
-            loop {
-                match frame_len(buf.filled()) {
-                    Err(_) | Ok(Some(_)) => break,
-                    Ok(None) => {
-                        if peer_closed || self.shutdown.load(Ordering::SeqCst) {
-                            break 'conn;
-                        }
-                        if buf.is_empty() {
-                            frame_start = None;
-                            if let Some(idle) = self.idle_timeout {
-                                if round_end.elapsed() >= idle {
-                                    self.metrics.record_idle_reaped();
-                                    self.trace_emit(TraceEvent {
-                                        conn: conn_id,
-                                        ..TraceEvent::new(TraceKind::ConnIdleReaped)
-                                    });
-                                    break 'conn;
-                                }
-                            }
-                        } else {
-                            let started = *frame_start.get_or_insert_with(Instant::now);
-                            if let Some(deadline) = self.read_deadline {
-                                if started.elapsed() >= deadline {
-                                    self.metrics.record_deadline_evicted();
-                                    self.trace_emit(TraceEvent {
-                                        conn: conn_id,
-                                        ..TraceEvent::new(TraceKind::ConnDeadlineEvicted)
-                                    });
-                                    break 'conn;
-                                }
-                            }
-                        }
-                        match buf.read_from(&mut stream) {
-                            ReadOutcome::Data => {}
-                            ReadOutcome::WouldBlock => {}
-                            ReadOutcome::Closed => peer_closed = true,
-                            ReadOutcome::Fatal => break 'conn,
-                        }
-                    }
-                }
-            }
-
-            // Phase 2: drain whatever else the client already sent, up to
-            // a bounded backlog (the per-frame cap bounds one frame, not
-            // the connection buffer).
-            if !peer_closed && stream.set_nonblocking(true).is_ok() {
-                while buf.len() < DRAIN_CAP {
-                    match buf.read_from(&mut stream) {
-                        ReadOutcome::Data => {}
-                        ReadOutcome::WouldBlock => break,
-                        ReadOutcome::Closed => {
-                            peer_closed = true;
-                            break;
-                        }
-                        ReadOutcome::Fatal => break 'conn,
-                    }
-                }
-                let _ = stream.set_nonblocking(false);
-            }
-
-            // Phase 3: decode + answer every complete frame, then flush
-            // the whole round in a single write.
-            out.clear();
-            let status = self.process_round(&mut buf, &mut out, peer, conn_id, usize::MAX, false);
-            frame_start = None;
-            round_end = Instant::now();
-            if !out.is_empty() {
-                if stream.write_all(&out).is_err() {
-                    break 'conn;
-                }
-                if first_resp_pending {
-                    first_resp_pending = false;
-                    self.metrics.record_accept_to_first(
-                        accepted_at.elapsed().as_nanos().min(u64::MAX as u128) as u64,
-                    );
-                }
-                self.trace_emit(TraceEvent {
-                    conn: conn_id,
-                    len: out.len().min(u32::MAX as usize) as u32,
-                    ..TraceEvent::new(TraceKind::Flush)
-                });
-            }
-            if status.shutdown {
-                self.shutdown.store(true, Ordering::SeqCst);
-                // Wake the acceptor so `run` can return (via loopback —
-                // the bound address may be a wildcard).
-                wake_acceptor(self.local_addr);
-                break 'conn;
-            }
-            if status.corrupt {
-                break 'conn; // error response flushed above
-            }
-            if peer_closed && buf.is_empty() {
-                break 'conn;
-            }
-        }
-        self.metrics.conn_closed();
-        self.trace_emit(TraceEvent { conn: conn_id, ..TraceEvent::new(TraceKind::ConnClosed) });
-    }
-
-    // ------------------------------------------------------------------
-    // The shared request path.
+    // The request path.
     // ------------------------------------------------------------------
 
     /// Decodes and answers every complete frame in `buf`, appending the
@@ -655,12 +358,11 @@ impl Server {
     /// frame, a corrupt length prefix is hit (error queued, `corrupt`
     /// set), or `out` exceeds `out_budget` (write backpressure: the
     /// remaining frames stay buffered for the next round). Snapshots are
-    /// pinned per shard for the duration of the round. With
-    /// `defer_installs`, a `LoadSnapshot`/`Rollback` frame is consumed
-    /// but *not* answered: the round stops and hands the request back in
-    /// `deferred` (the readiness core runs it on the installer thread so
-    /// multi-MB decodes never stall the event loop; later frames wait so
-    /// responses stay in request order).
+    /// pinned per shard for the duration of the round. A
+    /// `LoadSnapshot`/`Rollback` frame is consumed but *not* answered:
+    /// the round stops and hands the request back in `deferred` (the
+    /// loop runs it on the installer thread so multi-MB decodes never
+    /// stall it; later frames wait so responses stay in request order).
     fn process_round(
         &self,
         buf: &mut RecvBuf,
@@ -668,7 +370,6 @@ impl Server {
         peer: IpAddr,
         conn: u64,
         out_budget: usize,
-        defer_installs: bool,
     ) -> RoundStatus {
         let mut status = RoundStatus::default();
         let mut pinned: HashMap<u32, Option<Arc<ShardSnapshot>>> = HashMap::new();
@@ -708,13 +409,7 @@ impl Server {
                             });
                             Response::Error { message: e.to_string() }
                         }
-                        Ok(req)
-                            if defer_installs
-                                && matches!(
-                                    req,
-                                    Request::LoadSnapshot { .. } | Request::Rollback { .. }
-                                ) =>
-                        {
+                        Ok(req @ (Request::LoadSnapshot { .. } | Request::Rollback { .. })) => {
                             buf.consume(total);
                             status.deferred = Some(req);
                             break;
@@ -866,7 +561,7 @@ impl Server {
                 // Stats is the one response without a payload-derived
                 // bound; past ~2M shard records (~92 bytes each) the
                 // frame would trip `seal`'s MAX_FRAME_LEN invariant and
-                // panic the worker — answer with an error instead.
+                // panic the event loop — answer with an error instead.
                 const MAX_STATS_SHARDS: usize = 1 << 21;
                 if shards.len() > MAX_STATS_SHARDS {
                     return Response::Error {
@@ -1028,7 +723,7 @@ fn unknown_shard(shard: u32) -> Response {
 enum ReadOutcome {
     /// ≥1 byte appended to the buffer.
     Data,
-    /// Nothing available right now (timeout or `WouldBlock`).
+    /// Nothing available right now (`WouldBlock` or an interrupted read).
     WouldBlock,
     /// Orderly EOF from the peer.
     Closed,
@@ -1100,24 +795,21 @@ impl RecvBuf {
                 self.end += n;
                 ReadOutcome::Data
             }
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::Interrupted) => {
                 ReadOutcome::WouldBlock
             }
-            Err(e) if e.kind() == ErrorKind::Interrupted => ReadOutcome::WouldBlock,
             Err(_) => ReadOutcome::Fatal,
         }
     }
 }
 
 // ----------------------------------------------------------------------
-// The readiness (epoll) core.
+// The event loop.
 // ----------------------------------------------------------------------
 
-#[cfg(target_os = "linux")]
 mod readiness {
     use super::*;
-    use crate::poll::{Events, Interest, Poller, WakePipe};
-    use std::os::fd::AsRawFd;
+    use crate::poll::Events;
 
     /// Event-buffer capacity per `epoll_wait`.
     const EVENT_BATCH: usize = 1024;
@@ -1125,8 +817,8 @@ mod readiness {
     /// closing connections anyway.
     const SHUTDOWN_FLUSH_BUDGET: Duration = Duration::from_secs(1);
 
-    const TOKEN_LISTENER: u64 = 0;
-    const TOKEN_WAKE: u64 = 1;
+    pub(super) const TOKEN_LISTENER: u64 = 0;
+    pub(super) const TOKEN_WAKE: u64 = 1;
     const TOKEN_CONN_BASE: u64 = 2;
 
     /// The per-connection state machine. The daemon-facing states are
@@ -1210,36 +902,11 @@ mod readiness {
     }
 
     impl Server {
-        /// The readiness event loop: one thread, one epoll set, every
-        /// connection multiplexed. See the module docs for the state
-        /// machine and invariants.
-        pub(super) fn run_readiness(&self) {
-            let poller = match Poller::new() {
-                Ok(p) => p,
-                Err(e) => {
-                    eprintln!("[dpsc-serve] epoll unavailable ({e}); thread-pool fallback");
-                    return self.run_thread_pool();
-                }
-            };
-            let wake = match WakePipe::new() {
-                Ok(w) => w,
-                Err(e) => {
-                    eprintln!("[dpsc-serve] self-pipe unavailable ({e}); thread-pool fallback");
-                    return self.run_thread_pool();
-                }
-            };
-            if self.listener.set_nonblocking(true).is_err()
-                || poller.add(self.listener.as_raw_fd(), TOKEN_LISTENER, Interest::READ).is_err()
-                || poller.add(wake.read_fd(), TOKEN_WAKE, Interest::READ).is_err()
-            {
-                eprintln!("[dpsc-serve] poller registration failed; thread-pool fallback");
-                let _ = self.listener.set_nonblocking(false);
-                return self.run_thread_pool();
-            }
-            let loop_waker = wake.waker().ok();
-            if let Some(w) = &loop_waker {
-                *self.waker.lock().expect("waker slot not poisoned") = Some(w.clone());
-            }
+        /// Serves until shutdown (via an admitted `Shutdown` frame or a
+        /// [`ServerHandle`]), blocking the calling thread: one thread, one
+        /// epoll set, every connection multiplexed. See the module docs
+        /// for the state machine and invariants.
+        pub fn run(&self) {
             // Eviction sweeps run at a fraction of the tightest timeout,
             // so an offender is caught within ~25% past its nominal
             // deadline; None (no deadlines configured) keeps the
@@ -1254,7 +921,6 @@ mod readiness {
             let done: Mutex<Vec<InstallDone>> = Mutex::new(Vec::new());
             let done = &done;
             std::thread::scope(|scope| {
-                let installer_waker = loop_waker.clone();
                 let srv = self;
                 scope.spawn(move || {
                     // The installer thread: LoadSnapshot/Rollback decode,
@@ -1269,9 +935,7 @@ mod readiness {
                             gen: job.gen,
                             resp: encode_response(&resp),
                         });
-                        if let Some(w) = &installer_waker {
-                            w.wake();
-                        }
+                        srv.waker.wake();
                     }
                 });
 
@@ -1302,15 +966,11 @@ mod readiness {
                         Some(50)
                     } else if sweep_tick.is_some() && self.metrics.conns_open_now() > 0 {
                         sweep_tick.map(|t| (t.as_millis().max(1)) as i32)
-                    } else if loop_waker.is_none() {
-                        // No self-pipe: poll so installer completions and
-                        // handle shutdowns still get noticed.
-                        Some(50)
                     } else {
                         None
                     };
                     let wait_start = Instant::now();
-                    if poller.wait(&mut events, timeout).is_err() {
+                    if self.poller.wait(&mut events, timeout).is_err() {
                         break 'event_loop;
                     }
                     // Loop utilization: time blocked in epoll_wait vs
@@ -1321,7 +981,7 @@ mod readiness {
                     for ev in batch {
                         match ev.token {
                             TOKEN_WAKE => {
-                                wake.drain();
+                                self.wake.drain();
                                 // Drain installer completions: queue the
                                 // response, unblock, and pump the
                                 // connection forward (it may have more
@@ -1339,12 +999,9 @@ mod readiness {
                                     }
                                     conn.out.extend_from_slice(&d.resp);
                                     conn.blocked = false;
-                                    if matches!(
-                                        self.pump(&poller, conn, d.idx, &inst_tx),
-                                        Pump::Close
-                                    ) {
+                                    if matches!(self.pump(conn, d.idx, &inst_tx), Pump::Close) {
                                         let conn = slot.take().expect("checked above");
-                                        let _ = poller.delete(conn.stream.as_raw_fd());
+                                        let _ = self.poller.delete(conn.stream.as_raw_fd());
                                         free.push(d.idx);
                                         self.metrics.conn_closed();
                                         self.trace_emit(TraceEvent {
@@ -1359,7 +1016,6 @@ mod readiness {
                                     continue;
                                 }
                                 accept_errors = self.accept_ready(
-                                    &poller,
                                     &mut conns,
                                     &mut free,
                                     &mut generation,
@@ -1377,11 +1033,11 @@ mod readiness {
                                 let verdict = if ev.error {
                                     Pump::Close
                                 } else {
-                                    self.pump(&poller, conn, idx, &inst_tx)
+                                    self.pump(conn, idx, &inst_tx)
                                 };
                                 if matches!(verdict, Pump::Close) {
                                     let conn = slot.take().expect("checked above");
-                                    let _ = poller.delete(conn.stream.as_raw_fd());
+                                    let _ = self.poller.delete(conn.stream.as_raw_fd());
                                     free.push(idx);
                                     self.metrics.conn_closed();
                                     self.trace_emit(TraceEvent {
@@ -1395,7 +1051,7 @@ mod readiness {
                     if let Some(tick) = sweep_tick {
                         let now = Instant::now();
                         if now.duration_since(last_sweep) >= tick {
-                            self.sweep_conns(&poller, &mut conns, &mut free, now);
+                            self.sweep_conns(&mut conns, &mut free, now);
                             last_sweep = now;
                         }
                     }
@@ -1410,7 +1066,7 @@ mod readiness {
                 // installer sees the channel hang up and exits before the
                 // scope joins it.
                 for conn in conns.into_iter().flatten() {
-                    let _ = poller.delete(conn.stream.as_raw_fd());
+                    let _ = self.poller.delete(conn.stream.as_raw_fd());
                     let id = conn.id;
                     drop(conn.stream);
                     self.metrics.conn_closed();
@@ -1421,8 +1077,6 @@ mod readiness {
                 }
                 drop(inst_tx);
             });
-            let _ = self.listener.set_nonblocking(false);
-            *self.waker.lock().expect("waker slot not poisoned") = None;
         }
 
         /// One timeout sweep over every connection: evict mid-frame
@@ -1430,13 +1084,7 @@ mod readiness {
         /// connections idle past the idle timeout. Blocked (install in
         /// flight) and closing connections are exempt — they are waiting
         /// on us, not the other way around.
-        fn sweep_conns(
-            &self,
-            poller: &Poller,
-            conns: &mut [Option<Conn>],
-            free: &mut Vec<usize>,
-            now: Instant,
-        ) {
+        fn sweep_conns(&self, conns: &mut [Option<Conn>], free: &mut Vec<usize>, now: Instant) {
             for idx in 0..conns.len() {
                 let Some(conn) = conns[idx].as_mut() else { continue };
                 if conn.closing || conn.blocked {
@@ -1489,7 +1137,7 @@ mod readiness {
                 }
                 if evict {
                     let conn = conns[idx].take().expect("checked above");
-                    let _ = poller.delete(conn.stream.as_raw_fd());
+                    let _ = self.poller.delete(conn.stream.as_raw_fd());
                     free.push(idx);
                     self.metrics.conn_closed();
                     self.trace_emit(TraceEvent {
@@ -1502,10 +1150,9 @@ mod readiness {
 
         /// Accepts until `WouldBlock`, registering each connection for
         /// read interest. Returns the updated consecutive-error count
-        /// (the same bounded backoff as the thread-pool acceptor).
+        /// (see [`accept_backoff`]).
         fn accept_ready(
             &self,
-            poller: &Poller,
             conns: &mut Vec<Option<Conn>>,
             free: &mut Vec<usize>,
             generation: &mut u32,
@@ -1532,7 +1179,7 @@ mod readiness {
                             conns.len() - 1
                         });
                         let token = conn_token(idx, *generation);
-                        if poller.add(stream.as_raw_fd(), token, Interest::READ).is_err() {
+                        if self.poller.add(stream.as_raw_fd(), token, Interest::READ).is_err() {
                             free.push(idx);
                             continue;
                         }
@@ -1565,10 +1212,9 @@ mod readiness {
                     Err(e) if e.kind() == ErrorKind::Interrupted => continue,
                     Err(_) => {
                         // EMFILE and friends: the pending connection stays
-                        // in the backlog. Bounded sleep (the event loop
-                        // owns this thread, so a sleep here is the same
-                        // trade the blocking acceptor makes) keeps a
-                        // fd-exhausted daemon from spinning hot.
+                        // in the backlog. A bounded sleep (the event loop
+                        // owns this thread) keeps a fd-exhausted daemon
+                        // from spinning hot.
                         accept_errors = accept_errors.saturating_add(1);
                         std::thread::sleep(accept_backoff(accept_errors));
                         return accept_errors;
@@ -1580,13 +1226,7 @@ mod readiness {
         /// Drives one connection as far as readiness allows: drain reads
         /// (edge-triggered contract), answer buffered frames within the
         /// write budget, flush, and re-arm the right interest set.
-        fn pump(
-            &self,
-            poller: &Poller,
-            conn: &mut Conn,
-            idx: usize,
-            inst_tx: &Sender<InstallJob>,
-        ) -> Pump {
+        fn pump(&self, conn: &mut Conn, idx: usize, inst_tx: &Sender<InstallJob>) -> Pump {
             let high_water = self.write_high_water;
             conn.last_activity = Instant::now();
             loop {
@@ -1604,7 +1244,6 @@ mod readiness {
                         conn.peer,
                         conn.id,
                         budget,
-                        true,
                     );
                     if status.shutdown {
                         self.shutdown.store(true, Ordering::SeqCst);
@@ -1719,7 +1358,7 @@ mod readiness {
             };
             if (want.readable || want.writable) && want != conn.interest {
                 let token = conn_token(idx, conn.generation);
-                if poller.modify(conn.stream.as_raw_fd(), token, want).is_err() {
+                if self.poller.modify(conn.stream.as_raw_fd(), token, want).is_err() {
                     return Pump::Close;
                 }
                 conn.interest = want;
@@ -1776,19 +1415,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn wake_addr_maps_wildcards_to_loopback() {
-        let v4: SocketAddr = "0.0.0.0:8125".parse().unwrap();
-        assert_eq!(wake_addr(v4), "127.0.0.1:8125".parse().unwrap());
-        let v6: SocketAddr = "[::]:8125".parse().unwrap();
-        assert_eq!(wake_addr(v6), "[::1]:8125".parse().unwrap());
-        // Concrete addresses pass through untouched.
-        let concrete: SocketAddr = "192.0.2.7:9000".parse().unwrap();
-        assert_eq!(wake_addr(concrete), concrete);
-        let lo: SocketAddr = "127.0.0.1:9000".parse().unwrap();
-        assert_eq!(wake_addr(lo), lo);
-    }
-
-    #[test]
     fn accept_backoff_doubles_then_caps() {
         assert_eq!(accept_backoff(1), Duration::from_millis(1));
         assert_eq!(accept_backoff(2), Duration::from_millis(2));
@@ -1827,15 +1453,6 @@ mod tests {
             assert!(shutdown_allowed(AllowRemote, ip));
             assert!(!shutdown_allowed(Deny, ip));
         }
-    }
-
-    #[test]
-    fn core_kind_resolves_per_platform() {
-        let native =
-            if cfg!(target_os = "linux") { CoreKind::Readiness } else { CoreKind::ThreadPool };
-        assert_eq!(CoreKind::Auto.resolved(), native);
-        assert_eq!(CoreKind::Readiness.resolved(), native);
-        assert_eq!(CoreKind::ThreadPool.resolved(), CoreKind::ThreadPool);
     }
 
     #[test]

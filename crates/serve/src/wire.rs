@@ -3,11 +3,11 @@
 //!
 //! Every message is one *frame*: a little-endian `u32` body length
 //! followed by the body. The body follows the same codec discipline as
-//! the `DPSF` snapshot format ([`FrozenSynopsis::to_bytes`]
-//! (dpsc_private_count::FrozenSynopsis::to_bytes)): a 4-byte magic
-//! (`DPSQ` for requests, `DPSR` for responses), a `u16` protocol
-//! version, the opcode/status bytes, the payload, and a trailing FNV-1a
-//! checksum of everything before it. Decoding is defensive throughout —
+//! the `DPSF` snapshot format
+//! ([`FrozenSynopsis::to_bytes`](dpsc_private_count::FrozenSynopsis::to_bytes)):
+//! a 4-byte magic (`DPSQ` for requests, `DPSR` for responses), a `u16`
+//! protocol version, the opcode/status bytes, the payload, and a
+//! trailing FNV-1a checksum of everything before it. Decoding is defensive throughout —
 //! length-checked reads, a hard frame-size cap *before* any allocation,
 //! checksum verification — and reports defects through the same typed
 //! [`DecodeError`] the snapshot codec uses. Accepted frames are
@@ -345,11 +345,9 @@ pub struct MetricsReport {
     pub latency_p99_ns: f64,
     /// Per-op latency percentiles (each op's own histogram).
     pub op_latency: OpLatencies,
-    /// Nanoseconds the readiness event loop spent blocked in
-    /// `epoll_wait` (0 under the thread-pool core).
+    /// Nanoseconds the event loop spent blocked in `epoll_wait`.
     pub loop_wait_ns: u64,
-    /// Nanoseconds the readiness event loop spent servicing readiness
-    /// events (0 under the thread-pool core).
+    /// Nanoseconds the event loop spent servicing readiness events.
     pub loop_busy_ns: u64,
     /// `loop_busy_ns / (loop_wait_ns + loop_busy_ns)` — event-loop
     /// utilization in [0, 1]; 0 when neither was recorded.

@@ -81,9 +81,8 @@ pub mod prelude {
         PrivateCountStructure, QgramParams, SimpleTrieParams, SnapshotCodec,
     };
     pub use dpsc_serve::{
-        Client, ClientConfig, ClientError, CoreKind, MetricsReport, RetryPolicy, Server,
-        ServerConfig, ServerHandle, ShardManager, ShutdownPolicy, SnapshotStore, TraceEvent,
-        TraceKind,
+        Client, ClientConfig, ClientError, MetricsReport, RetryPolicy, Server, ServerConfig,
+        ServerHandle, ShardManager, ShutdownPolicy, SnapshotStore, TraceEvent, TraceKind,
     };
     pub use dpsc_strkit::alphabet::{Alphabet, Database};
     pub use dpsc_textindex::CorpusIndex;
