@@ -31,6 +31,7 @@ use std::time::Instant;
 use dpsc_dpcore::budget::PrivacyParams;
 use dpsc_dpcore::stream::derive_stream as derive_seed;
 use dpsc_private_count::candidates::{build_candidates_pure, CandidateParams};
+use dpsc_private_count::codec::fnv1a;
 use dpsc_private_count::pipeline::{build_count_trie, run_pipeline_on_trie, PipelineParams};
 use dpsc_private_count::{build_pure_traced, BuildParams, CountMode, FrozenSynopsis, SpanRecorder};
 use dpsc_textindex::CorpusIndex;
@@ -115,15 +116,6 @@ const FLOOD: Scenario = Scenario {
     epsilon: 16.0,
     tau_frac: 0.48,
 };
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1000_0000_01B3);
-    }
-    h
-}
 
 #[derive(Clone, Copy, Default)]
 struct PhaseTimes {

@@ -133,16 +133,15 @@ fn fnv_fold(acc: u64, word: u64) -> u64 {
     (acc ^ word).wrapping_mul(0x0000_0100_0000_01b3)
 }
 
-/// One built shard: the snapshot, its wire bytes in every codec dialect,
+/// One built shard: the snapshot, its wire bytes in both codec dialects,
 /// and the deterministic present-pattern universe the Zipf mix draws
 /// from.
 struct BuiltShard {
     spec: &'static ShardSpec,
     frozen: FrozenSynopsis,
+    /// Uncompressed `DPSF` v2 (`to_bytes`): what ships to the daemon, so
+    /// the resident snapshots serve *borrowed* from the received buffers.
     bytes: Vec<u8>,
-    /// Uncompressed `DPSF` v2: what actually ships to the daemon, so the
-    /// resident snapshots serve *borrowed* from the received buffers.
-    bytes_v2: Vec<u8>,
     /// Delta-compressed v2 — the size column (`serialized_len_v2`).
     bytes_v2c: Vec<u8>,
     /// Total generated corpus size (`Database::total_len`).
@@ -165,19 +164,18 @@ fn build_shard(spec: &'static ShardSpec, tag: u64) -> BuiltShard {
     let bytes = frozen.to_bytes();
     let snapshot_digest = fnv1a(&bytes);
     // Both v2 dialects must round-trip canonically, and the compressed
-    // dialect must actually pay for its header on every scenario shard —
+    // dialect must actually pay for itself on every scenario shard —
     // these are correctness claims of the codec, checked live like the
     // served-answer differential.
-    let bytes_v2 = frozen.to_bytes_v2(false);
     let bytes_v2c = frozen.to_bytes_v2(true);
-    for (dialect, b) in [("v2", &bytes_v2), ("v2 compressed", &bytes_v2c)] {
+    for (dialect, b) in [("v2", &bytes), ("v2 compressed", &bytes_v2c)] {
         let back = FrozenSynopsis::from_bytes(b).expect("v2 snapshot decodes");
         assert_eq!(back, frozen, "{dialect} decode drifted on {}", spec.name);
         assert_eq!(back.to_bytes(), *b, "{dialect} encoding not canonical on {}", spec.name);
     }
     assert!(
         bytes_v2c.len() < bytes.len(),
-        "compressed v2 ({}) must undercut v1 ({}) on {}",
+        "compressed v2 ({}) must undercut uncompressed v2 ({}) on {}",
         bytes_v2c.len(),
         bytes.len(),
         spec.name
@@ -209,7 +207,6 @@ fn build_shard(spec: &'static ShardSpec, tag: u64) -> BuiltShard {
         spec,
         frozen,
         bytes,
-        bytes_v2,
         bytes_v2c,
         corpus_bytes: db.total_len(),
         universe,
@@ -218,29 +215,29 @@ fn build_shard(spec: &'static ShardSpec, tag: u64) -> BuiltShard {
     }
 }
 
-/// Per-shard cold-load latency: ns per full decode-and-install of the v1
-/// codec ([`FrozenSynopsis::from_bytes`], four array copies) vs the v2
-/// borrowed path ([`FrozenSynopsis::from_bytes_shared`] on uncompressed
-/// v2 bytes, zero array copies — the snapshot points into the shared
-/// buffer). Both validate checksums and structure and rebuild the
-/// accelerated layout, so the delta isolates what borrowing saves.
+/// Per-shard cold-load latency: ns per full decode-and-install of the
+/// same uncompressed v2 snapshot, owned ([`FrozenSynopsis::from_bytes`],
+/// four array copies) vs borrowed ([`FrozenSynopsis::from_bytes_shared`],
+/// zero array copies — the snapshot points into the shared buffer). Both
+/// validate checksums and structure and rebuild the accelerated layout,
+/// so the delta isolates what borrowing saves.
 /// Min-over-repeats average, like [`single_query_latency`].
 fn cold_load_latency(shard: &BuiltShard) -> (f64, f64) {
     const REPS: usize = 7;
     const ITERS: usize = 24;
-    let shared: Arc<[u8]> = shard.bytes_v2.clone().into();
-    let run = |v2: bool| -> f64 {
+    let shared: Arc<[u8]> = shard.bytes.clone().into();
+    let run = |borrowed: bool| -> f64 {
         let mut best = f64::INFINITY;
         for _ in 0..REPS {
             let t0 = Instant::now();
             for _ in 0..ITERS {
-                let decoded = if v2 {
+                let decoded = if borrowed {
                     FrozenSynopsis::from_bytes_shared(Arc::clone(&shared))
                 } else {
                     FrozenSynopsis::from_bytes(std::hint::black_box(&shard.bytes))
                 }
                 .expect("benchmark snapshot decodes");
-                debug_assert_eq!(decoded.is_borrowed(), v2);
+                debug_assert_eq!(decoded.is_borrowed(), borrowed);
                 std::hint::black_box(&decoded);
             }
             best = best.min(t0.elapsed().as_nanos() as f64 / ITERS as f64);
@@ -639,8 +636,8 @@ fn robustness_scenario(shards: &[BuiltShard]) -> RobustnessResult {
     let mut admin = Client::connect(addr).expect("admin connects");
 
     // Durable installs + rollback: small → mid → back to small.
-    let e1 = admin.load_snapshot(0, &small.bytes_v2).expect("epoch 1 installs");
-    admin.load_snapshot(0, &mid.bytes_v2).expect("epoch 2 installs");
+    let e1 = admin.load_snapshot(0, &small.bytes).expect("epoch 1 installs");
+    admin.load_snapshot(0, &mid.bytes).expect("epoch 2 installs");
     let served: Vec<u64> =
         admin.query_batch(0, &probe).expect("epoch 2 serves").iter().map(|v| v.to_bits()).collect();
     assert_eq!(served, expect_mid, "pre-rollback answers");
@@ -767,7 +764,7 @@ fn overhead_scenario(shards: &[BuiltShard], workloads: &[ConnWorkload]) -> Overh
     let run = |observability: bool| -> f64 {
         let manager = Arc::new(ShardManager::new());
         for s in shards {
-            manager.install(s.spec.shard_id, s.frozen.clone(), s.bytes_v2.len());
+            manager.install(s.spec.shard_id, s.frozen.clone(), s.bytes.len());
         }
         let config = ServerConfig {
             trace_capacity: if observability { 1024 } else { 0 },
@@ -852,9 +849,10 @@ fn to_json(
          naive binary-search trie walk at runtime; single_query_ns is the in-process \
          accelerated path, single_query_naive_ns the oracle walk on the same universe. \
          serialized_len_v2 is the delta-compressed DPSF v2 encoding (deterministic); \
-         cold_load_ns is a full v1 decode-and-install, cold_load_v2_ns the v2 zero-copy \
-         borrowed decode of the same snapshot. Snapshots ship to the daemon as \
-         uncompressed v2, so the replay also differentially checks borrowed serving. \
+         serialized_len and snapshot_digest are the uncompressed v2 snapshot that ships to \
+         the daemon, so the replay also differentially checks borrowed serving; \
+         cold_load_ns is its owned decode-and-install, cold_load_v2_ns the zero-copy \
+         borrowed decode of the same bytes. \
          conn_sweep points hold every socket open simultaneously (barrier-enforced); \
          their digests are deterministic, qps fields are not. metrics.patterns_total is \
          the daemon's own counter, asserted equal to generator_patterns_total at \
@@ -1000,8 +998,8 @@ pub fn serve_throughput() -> Table {
     let shards: Vec<BuiltShard> =
         SHARDS.iter().enumerate().map(|(i, s)| build_shard(s, i as u64 + 1)).collect();
     // In-process microbenchmarks before the daemon starts competing for
-    // the CPU: accelerated path vs naive oracle, and v1 full-copy decode
-    // vs v2 borrowed decode, per shard.
+    // the CPU: accelerated path vs naive oracle, and owned (full-copy)
+    // vs borrowed decode of the shipped v2 snapshot, per shard.
     let lats: Vec<(f64, f64)> = shards.iter().map(single_query_latency).collect();
     let cold_lats: Vec<(f64, f64)> = shards.iter().map(cold_load_latency).collect();
     let zipfs: Vec<Zipf> = shards.iter().map(|s| Zipf::new(s.universe.len(), ZIPF_S)).collect();
@@ -1024,7 +1022,7 @@ pub fn serve_throughput() -> Table {
             // *borrowed* from the received buffer, so the whole replay
             // (answers asserted against the naive walk) doubles as a
             // differential check of zero-copy serving.
-            admin.load_snapshot(s.spec.shard_id, &s.bytes_v2).expect("snapshot loads");
+            admin.load_snapshot(s.spec.shard_id, &s.bytes).expect("snapshot loads");
         }
     }
     for s in &shards {
@@ -1237,8 +1235,8 @@ pub fn serve_throughput() -> Table {
     {
         t.note(format!(
             "{}: {} workload, {:.2} MB corpus, {} nodes — single query {:.0} ns fast vs \
-             {:.0} ns naive ({:.2}× speedup); cold load {:.0} ns v1 vs {:.0} ns v2 borrowed; \
-             snapshot {} B v1, {} B v2 compressed ({:.2}×)",
+             {:.0} ns naive ({:.2}× speedup); cold load {:.0} ns owned vs {:.0} ns borrowed; \
+             snapshot {} B v2, {} B v2 compressed ({:.2}×)",
             s.spec.name,
             s.spec.workload.as_str(),
             s.corpus_bytes as f64 / 1e6,

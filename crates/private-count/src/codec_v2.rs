@@ -1,9 +1,9 @@
-//! `DPSF` v2: the sectioned snapshot codec behind zero-copy serving.
-//!
-//! v1 packs the four CSR arrays back-to-back behind a fixed header and
-//! one trailing checksum — compact, but decoding *must* copy every array
-//! into fresh `Vec`s, and a corrupt byte is only ever reported as "the
-//! payload". v2 restructures the same data for the serving path:
+//! `DPSF` v2: the sectioned snapshot codec behind zero-copy serving, and
+//! the only format a `FrozenSynopsis` reads or writes (version 1, a
+//! packed layout with one trailing checksum, is retired and decodes as
+//! `UnsupportedVersion`). The four CSR arrays sit in aligned sections,
+//! each with its own checksum, so an uncompressed snapshot decodes without
+//! copying and a corrupt byte is reported by section:
 //!
 //! ```text
 //! off   size  field
@@ -38,18 +38,22 @@
 //! near-monotone, so gaps are small. Varints are required to be minimal
 //! on decode (no redundant continuation bytes), keeping the dialect
 //! canonical: `from_bytes(b)?.to_bytes() == b` for both dialects.
-//! Compressed snapshots always decode into owned storage.
+//! Compressed snapshots always decode into owned storage. The dialect is
+//! opt-in (`to_bytes_v2(true)`): `freeze` emits uncompressed snapshots,
+//! the ones the daemon serves borrowed.
 
 use std::sync::Arc;
 
-use crate::codec::{fnv1a, le_f64, le_u32, require_finite, Cursor, DecodeError};
-use crate::synopsis::{
-    check_privacy_fields, check_tree_shape, mode_from_wire, mode_wire, privacy_from_wire,
-    FrozenSynopsis, SnapshotCodec, Storage, MAGIC,
-};
+use dpsc_dpcore::budget::PrivacyParams;
 
+use crate::codec::{fnv1a, le_f64, le_u32, require_finite, Cursor, DecodeError};
+use crate::structure::CountMode;
+use crate::synopsis::{FrozenSynopsis, Storage};
+
+/// Magic bytes opening the binary format ("DP Synopsis, Frozen").
+const MAGIC: [u8; 4] = *b"DPSF";
 /// Version tag of the sectioned format.
-pub(crate) const VERSION: u16 = 2;
+const VERSION: u16 = 2;
 /// Flag bit 0: edge arrays are varint-compressed.
 const FLAG_COMPRESSED: u16 = 1;
 /// The four sections, in their fixed on-wire order.
@@ -450,7 +454,7 @@ fn decode_impl(bytes: &[u8], shared: Option<&Arc<[u8]>>) -> Result<FrozenSynopsi
         alpha_absent,
         n_docs,
         max_len,
-        codec: SnapshotCodec::V2 { compressed },
+        compressed,
     })
 }
 
@@ -503,6 +507,77 @@ fn decode_gaps(buf: &[u8], n_edges: usize) -> Result<Vec<u32>, DecodeError> {
         });
     }
     Ok(edge_target)
+}
+
+/// Wire encoding of a [`CountMode`]: `(tag, clip level)`.
+fn mode_wire(mode: CountMode) -> (u8, u64) {
+    match mode {
+        CountMode::Document => (0, 0),
+        CountMode::Substring => (1, 0),
+        CountMode::Clipped(d) => (2, d as u64),
+    }
+}
+
+/// Decodes and canonicality-checks a mode tag + clip level pair.
+fn mode_from_wire(tag: u8, clip: u64) -> Result<CountMode, DecodeError> {
+    match tag {
+        // Canonicality: the clip field carries information only for
+        // tag 2; any other encoding must use zero so that equal
+        // synopses have exactly one byte representation.
+        0 | 1 if clip != 0 => Err(DecodeError::BadField {
+            field: "clip level",
+            detail: format!("nonzero clip level {clip} with mode tag {tag}"),
+        }),
+        0 => Ok(CountMode::Document),
+        1 => Ok(CountMode::Substring),
+        2 => {
+            let d = usize::try_from(clip).map_err(|_| DecodeError::SizeOverflow)?;
+            Ok(CountMode::Clipped(d))
+        }
+        other => {
+            Err(DecodeError::BadField { field: "mode tag", detail: format!("unknown tag {other}") })
+        }
+    }
+}
+
+/// Domain checks for the decoded privacy parameters.
+fn check_privacy_fields(epsilon: f64, delta: f64) -> Result<(), DecodeError> {
+    if !(epsilon.is_finite() && epsilon > 0.0) {
+        return Err(DecodeError::BadField { field: "epsilon", detail: epsilon.to_string() });
+    }
+    // `-0.0` would satisfy a plain range check but re-serialize as
+    // `+0.0` (PrivacyParams::pure normalizes it), breaking
+    // canonicality — reject the sign bit explicitly.
+    if delta.is_sign_negative() || !((0.0..1.0).contains(&delta)) {
+        return Err(DecodeError::BadField { field: "delta", detail: delta.to_string() });
+    }
+    Ok(())
+}
+
+/// Rebuilds [`PrivacyParams`] from validated wire floats.
+fn privacy_from_wire(epsilon: f64, delta: f64) -> PrivacyParams {
+    if delta == 0.0 {
+        PrivacyParams::pure(epsilon)
+    } else {
+        PrivacyParams::approx(epsilon, delta)
+    }
+}
+
+/// Node/edge count sanity of a decoded header.
+fn check_tree_shape(n_nodes: usize, n_edges: usize) -> Result<(), DecodeError> {
+    if n_nodes == 0 {
+        return Err(DecodeError::BadField {
+            field: "node count",
+            detail: "zero (the root is mandatory)".to_string(),
+        });
+    }
+    if n_edges != n_nodes - 1 {
+        return Err(DecodeError::BadField {
+            field: "edge count",
+            detail: format!("{n_edges} != node count {n_nodes} - 1"),
+        });
+    }
+    Ok(())
 }
 
 #[cfg(test)]

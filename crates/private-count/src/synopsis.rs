@@ -14,55 +14,32 @@
 //! per-node SWAR label blocks or direct child tables, chosen by fanout,
 //! probed branchlessly — one or two cache lines per pattern byte.
 //!
-//! The frozen form is also the *shippable* form, in two wire dialects:
+//! The frozen form is also the *shippable* form: the sectioned `DPSF` v2
+//! format (`codec_v2`), 8-byte-aligned sections with per-section
+//! checksums, in two dialects:
 //!
-//! * **v1** ([`FrozenSynopsis::to_bytes`] by default) — the original
-//!   compact format: fixed header, four packed arrays, one trailing
-//!   FNV-1a checksum. Kept byte-identical for compatibility.
-//! * **v2** ([`FrozenSynopsis::to_bytes_v2`], `codec_v2`) — 8-byte-aligned
-//!   sections with per-section checksums. Uncompressed v2 snapshots can be
-//!   decoded *borrowed* ([`FrozenSynopsis::from_bytes_shared`]): after
-//!   validation the arrays point straight into the shared input buffer
-//!   (an `Arc<[u8]>`), so installing a shard performs zero per-array
-//!   copies. The compressed dialect trades that for size: `edge_start` as
-//!   delta+varint degrees, `edge_target` as zigzag-varint gaps.
+//! * **uncompressed** — what [`FrozenSynopsis::to_bytes`] emits after
+//!   [`FrozenSynopsis::freeze`]. The sections are raw little-endian
+//!   arrays, so they decode *borrowed*
+//!   ([`FrozenSynopsis::from_bytes_shared`]): after validation the arrays
+//!   point straight into the shared input buffer (an `Arc<[u8]>`), and
+//!   installing a shard performs zero per-array copies.
+//! * **compressed** — opt-in through [`FrozenSynopsis::to_bytes_v2`]`(true)`.
+//!   It trades borrowing for size: `edge_start` as delta+varint degrees,
+//!   `edge_target` as zigzag-varint gaps; it always decodes owned.
 //!
-//! Which dialect a synopsis re-serializes to is carried in
-//! [`SnapshotCodec`]; decoding dispatches on the version field, so either
-//! dialect round-trips canonically (`from_bytes(b)?.to_bytes() == b`).
+//! A decoded synopsis re-serializes to the dialect it arrived in, so both
+//! round-trip canonically (`from_bytes(b)?.to_bytes() == b`).
 
 use std::sync::Arc;
 
 use dpsc_dpcore::budget::PrivacyParams;
 use dpsc_strkit::trie::Trie;
 
-use crate::codec::{fnv1a, le_f64, le_u32, require_finite, Cursor, DecodeError};
+use crate::codec::{le_f64, le_u32, DecodeError};
 use crate::codec_v2;
 use crate::fastpath::FastPath;
 use crate::structure::{CountMode, PrivateCountStructure};
-
-/// Magic bytes opening the binary format ("DP Synopsis, Frozen").
-pub(crate) const MAGIC: [u8; 4] = *b"DPSF";
-/// Version tag of the original (v1) binary format.
-const VERSION: u16 = 1;
-/// Fixed-size v1 header: magic(4) version(2) mode(1) clip(8) ε(8) δ(8)
-/// α_counts(8) α_absent(8) n_docs(8) ℓ(8) n_nodes(8) n_edges(8).
-pub(crate) const HEADER_LEN: usize = 4 + 2 + 1 + 8 * 9;
-
-/// Which wire dialect [`FrozenSynopsis::to_bytes`] emits. Decoders set it
-/// to the dialect the bytes arrived in, so re-serialization round-trips
-/// canonically; [`FrozenSynopsis::freeze`] defaults to [`Self::V1`],
-/// keeping every existing build digest byte-identical.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SnapshotCodec {
-    /// Original format: fixed header, packed arrays, one trailing checksum.
-    V1,
-    /// Sectioned format with per-section checksums and 8-byte alignment.
-    V2 {
-        /// Whether the edge arrays use delta/gap varint compression.
-        compressed: bool,
-    },
-}
 
 /// Raw little-endian `(counts, edge_start, edge_label, edge_target)`
 /// section bytes of a borrowed storage, exactly sized.
@@ -70,12 +47,13 @@ type SectionViews<'a> = (&'a [u8], &'a [u8], &'a [u8], &'a [u8]);
 
 /// Physical backing of the four CSR arrays.
 ///
-/// `Owned` holds decoded `Vec`s (freeze, v1 decode, compressed-v2
-/// decode). `Borrowed` points into a shared, already-validated v2 buffer:
-/// the offsets address the little-endian section bytes inside `buf`, and
-/// every accessor reads fields with `from_le_bytes` — safe code, one load
-/// on little-endian targets, no aliasing tricks (the workspace denies
-/// `unsafe`). Cloning a `Borrowed` storage clones the `Arc`, not the data.
+/// `Owned` holds `Vec`s (freeze, [`FrozenSynopsis::from_bytes`],
+/// compressed decode). `Borrowed` points into a shared, already-validated
+/// v2 buffer: the offsets address the little-endian section bytes inside
+/// `buf`, and every accessor reads fields with `from_le_bytes` — safe
+/// code, one load on little-endian targets, no aliasing tricks (the
+/// workspace denies `unsafe`). Cloning a `Borrowed` storage clones the
+/// `Arc`, not the data.
 #[derive(Debug, Clone)]
 pub(crate) enum Storage {
     Owned {
@@ -342,8 +320,9 @@ pub struct FrozenSynopsis {
     pub(crate) alpha_absent: f64,
     pub(crate) n_docs: usize,
     pub(crate) max_len: usize,
-    /// Wire dialect [`Self::to_bytes`] emits (see [`SnapshotCodec`]).
-    pub(crate) codec: SnapshotCodec,
+    /// Whether [`Self::to_bytes`] emits the compressed v2 dialect: false
+    /// after [`Self::freeze`], else the dialect the bytes arrived in.
+    pub(crate) compressed: bool,
     /// Degree-adaptive branchless edge index (SWAR blocks / direct
     /// tables, see `fastpath`). Derived data: rebuilt identically by
     /// [`Self::freeze`] and [`Self::from_bytes`], never serialized — the
@@ -352,10 +331,11 @@ pub struct FrozenSynopsis {
 }
 
 /// Equality is *logical*: same metadata and same array contents. Storage
-/// representation (owned vs borrowed) and the preferred wire dialect are
-/// serving details — a borrowed v2 decode of a snapshot equals its owned
-/// v1 decode. (`fast` is derived deterministically from the arrays, so it
-/// cannot differ when the arrays agree.)
+/// representation (owned vs borrowed) and the wire dialect are serving
+/// details — a borrowed decode of an uncompressed snapshot equals the
+/// owned decode of its compressed twin. (`fast` is derived
+/// deterministically from the arrays, so it cannot differ when the arrays
+/// agree.)
 impl PartialEq for FrozenSynopsis {
     fn eq(&self, other: &Self) -> bool {
         self.mode == other.mode
@@ -414,7 +394,7 @@ impl FrozenSynopsis {
             alpha_absent: structure.alpha_absent(),
             n_docs,
             max_len,
-            codec: SnapshotCodec::V1,
+            compressed: false,
         }
     }
 
@@ -593,12 +573,6 @@ impl FrozenSynopsis {
         (self.n_docs, self.max_len)
     }
 
-    /// Wire dialect [`Self::to_bytes`] will emit for this value.
-    #[inline]
-    pub fn codec(&self) -> SnapshotCodec {
-        self.codec
-    }
-
     /// Whether the CSR arrays alias a shared input buffer (zero-copy v2
     /// decode via [`Self::from_bytes_shared`]) rather than owned `Vec`s.
     #[inline]
@@ -606,27 +580,10 @@ impl FrozenSynopsis {
         self.store.is_borrowed()
     }
 
-    /// Size of the serialized form in bytes, in the dialect
-    /// [`Self::to_bytes`] would emit: derived from the actual array
-    /// lengths (v1) or a size-only encoding pass (v2), so a layout change
-    /// cannot silently desync it from [`Self::to_bytes`].
+    /// Size of [`Self::to_bytes`] in bytes, from a size-only encoding
+    /// pass, so a layout change cannot silently desync the two.
     pub fn serialized_len(&self) -> usize {
-        match self.codec {
-            SnapshotCodec::V1 => self.serialized_len_v1(),
-            SnapshotCodec::V2 { compressed } => codec_v2::encoded_len(self, compressed),
-        }
-    }
-
-    fn serialized_len_v1(&self) -> usize {
-        use std::mem::size_of;
-        let n = self.store.n_nodes();
-        let e = self.store.n_edges();
-        HEADER_LEN
-            + size_of::<f64>() * n
-            + size_of::<u32>() * (n + 1)
-            + size_of::<u8>() * e
-            + size_of::<u32>() * e
-            + size_of::<u64>() // trailing FNV-1a checksum
+        codec_v2::encoded_len(self, self.compressed)
     }
 
     /// Bytes of in-memory acceleration data (`fastpath` blocks and
@@ -636,256 +593,50 @@ impl FrozenSynopsis {
         self.fast.memory_bytes()
     }
 
-    /// Serializes to the dialect recorded in [`Self::codec`] — v1 unless
-    /// this value was decoded from (or explicitly encoded to) v2. Both
-    /// dialects are canonical: `from_bytes(b)?.to_bytes() == b`.
+    /// Serializes to `DPSF` v2 in this value's dialect: uncompressed
+    /// after [`Self::freeze`], otherwise the dialect it was decoded from.
+    /// Canonical: `from_bytes(b)?.to_bytes() == b`.
     pub fn to_bytes(&self) -> Vec<u8> {
-        match self.codec {
-            SnapshotCodec::V1 => self.to_bytes_v1(),
-            SnapshotCodec::V2 { compressed } => codec_v2::encode(self, compressed),
-        }
+        codec_v2::encode(self, self.compressed)
     }
 
-    /// Serializes to the sectioned v2 format regardless of
-    /// [`Self::codec`]. With `compressed` the edge arrays use delta/gap
-    /// varints (smaller, decodes owned); without, sections are raw
-    /// little-endian arrays eligible for zero-copy borrowed decode via
+    /// Serializes to the chosen v2 dialect, whichever one [`Self::to_bytes`]
+    /// would emit. With `compressed` the edge arrays use delta/gap varints
+    /// (smaller, decodes owned); without, sections are raw little-endian
+    /// arrays eligible for zero-copy borrowed decode via
     /// [`Self::from_bytes_shared`].
     pub fn to_bytes_v2(&self, compressed: bool) -> Vec<u8> {
         codec_v2::encode(self, compressed)
     }
 
-    /// Serializes to the original v1 binary format.
+    /// Parses a `DPSF` v2 snapshot of either dialect into fully owned
+    /// storage.
     ///
-    /// Layout (all integers little-endian, floats as IEEE-754 bit patterns
-    /// so counts round-trip exactly): a fixed header — magic `DPSF`,
-    /// version, mode tag + clip level, `ε`, `δ`, `α_counts`, `α_absent`,
-    /// `n`, `ℓ`, node count, edge count — then the four arrays (`counts`,
-    /// `edge_start`, `edge_label`, `edge_target`) and a trailing FNV-1a
-    /// checksum of everything before it.
-    pub fn to_bytes_v1(&self) -> Vec<u8> {
-        let n = self.store.n_nodes();
-        let e = self.store.n_edges();
-        let mut out = Vec::with_capacity(self.serialized_len_v1());
-        out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&VERSION.to_le_bytes());
-        let (tag, clip) = mode_wire(self.mode);
-        out.push(tag);
-        out.extend_from_slice(&clip.to_le_bytes());
-        out.extend_from_slice(&self.privacy.epsilon.to_bits().to_le_bytes());
-        out.extend_from_slice(&self.privacy.delta.to_bits().to_le_bytes());
-        out.extend_from_slice(&self.alpha_counts.to_bits().to_le_bytes());
-        out.extend_from_slice(&self.alpha_absent.to_bits().to_le_bytes());
-        out.extend_from_slice(&(self.n_docs as u64).to_le_bytes());
-        out.extend_from_slice(&(self.max_len as u64).to_le_bytes());
-        out.extend_from_slice(&(n as u64).to_le_bytes());
-        out.extend_from_slice(&(e as u64).to_le_bytes());
-        for v in 0..n {
-            out.extend_from_slice(&self.store.count(v).to_bits().to_le_bytes());
-        }
-        for i in 0..=n {
-            out.extend_from_slice(&(self.store.edge_start_at(i) as u32).to_le_bytes());
-        }
-        out.extend_from_slice(self.store.edge_labels(0, e));
-        for i in 0..e {
-            out.extend_from_slice(&self.store.edge_target_at(i).to_le_bytes());
-        }
-        let sum = fnv1a(&out);
-        out.extend_from_slice(&sum.to_le_bytes());
-        out
-    }
-
-    /// Parses a synopsis previously written by [`Self::to_bytes`],
-    /// dispatching on the version field: v1 and v2 (either dialect) both
-    /// decode into fully owned storage.
-    ///
-    /// Decoding is defensive: every read is length-checked, declared array
-    /// sizes are validated against the actual input length *before* any
-    /// allocation, the checksums must match, and the decoded CSR
-    /// arrays must describe a well-formed tree (monotone offsets, sorted
-    /// labels, every non-root node exactly one incoming edge, every node
-    /// reachable from the root) carrying only finite counts. Truncated,
-    /// version-mismatched or corrupted inputs return `Err`, never panic,
-    /// and accepted encodings are canonical:
-    /// `from_bytes(b)?.to_bytes() == b`.
+    /// Decoding is defensive: every read is length-checked, declared
+    /// section sizes are validated against the actual input length
+    /// *before* any allocation, the checksums must match, and the decoded
+    /// CSR arrays must describe a well-formed tree (monotone offsets,
+    /// sorted labels, every non-root node exactly one incoming edge, every
+    /// node reachable from the root) carrying only finite counts.
+    /// Truncated, corrupted or other-version inputs (the retired v1
+    /// included) return `Err`, never panic, and accepted encodings are
+    /// canonical: `from_bytes(b)?.to_bytes() == b`.
     ///
     /// # Errors
     /// A [`DecodeError`] describing the first defect found.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, DecodeError> {
-        match Self::peek_version(bytes)? {
-            VERSION => Self::decode_v1(bytes),
-            codec_v2::VERSION => codec_v2::decode_owned(bytes),
-            found => Err(DecodeError::UnsupportedVersion { found, expected: codec_v2::VERSION }),
-        }
+        codec_v2::decode_owned(bytes)
     }
 
     /// Like [`Self::from_bytes`], but hands the decoder shared ownership
-    /// of the input. An uncompressed v2 snapshot decodes *borrowed*: the
+    /// of the input. An uncompressed snapshot decodes *borrowed*: the
     /// arrays point into `buf` with zero per-array copies, and the buffer
-    /// stays alive for as long as the synopsis does. Compressed v2 and v1
-    /// inputs fall back to an owned decode. Validation is identical to
+    /// stays alive for as long as the synopsis does. Compressed inputs
+    /// fall back to an owned decode. Validation is identical to
     /// [`Self::from_bytes`] in every case.
     pub fn from_bytes_shared(buf: Arc<[u8]>) -> Result<Self, DecodeError> {
-        match Self::peek_version(&buf)? {
-            codec_v2::VERSION => codec_v2::decode_shared(&buf),
-            _ => Self::from_bytes(&buf),
-        }
+        codec_v2::decode_shared(&buf)
     }
-
-    /// Reads magic + version without committing to a dialect.
-    fn peek_version(bytes: &[u8]) -> Result<u16, DecodeError> {
-        let mut cur = Cursor::new(bytes);
-        let magic: [u8; 4] = cur.take(4)?.try_into().expect("4-byte magic");
-        if magic != MAGIC {
-            return Err(DecodeError::BadMagic { found: magic, expected: MAGIC });
-        }
-        cur.u16()
-    }
-
-    fn decode_v1(bytes: &[u8]) -> Result<Self, DecodeError> {
-        let mut cur = Cursor::new(bytes);
-        let magic: [u8; 4] = cur.take(4)?.try_into().expect("4-byte magic");
-        debug_assert_eq!(magic, MAGIC, "dispatch checked the magic");
-        let version = cur.u16()?;
-        debug_assert_eq!(version, VERSION, "dispatch checked the version");
-        let tag = cur.u8()?;
-        let clip = cur.u64()?;
-        let mode = mode_from_wire(tag, clip)?;
-        let epsilon = cur.f64()?;
-        let delta = cur.f64()?;
-        check_privacy_fields(epsilon, delta)?;
-        let alpha_counts = cur.f64()?;
-        let alpha_absent = cur.f64()?;
-        require_finite("alpha_counts", alpha_counts)?;
-        require_finite("alpha_absent", alpha_absent)?;
-        let n_docs = cur.usize64()?;
-        let max_len = cur.usize64()?;
-        let n_nodes = cur.usize64()?;
-        let n_edges = cur.usize64()?;
-        check_tree_shape(n_nodes, n_edges)?;
-        // Validate the declared payload against the real input length before
-        // allocating anything: a corrupt size field must not OOM us (and the
-        // arithmetic itself must not overflow on adversarial sizes).
-        let payload = n_nodes
-            .checked_mul(8)
-            .and_then(|a| n_nodes.checked_add(1)?.checked_mul(4)?.checked_add(a))
-            .and_then(|a| n_edges.checked_mul(5)?.checked_add(a))
-            .and_then(|a| a.checked_add(8))
-            .ok_or(DecodeError::SizeOverflow)?;
-        let remaining = cur.remaining();
-        if remaining < payload {
-            return Err(DecodeError::Truncated {
-                offset: cur.pos(),
-                need: payload,
-                have: remaining,
-            });
-        }
-        if remaining > payload {
-            return Err(DecodeError::TrailingGarbage { extra: remaining - payload });
-        }
-        let declared =
-            u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().expect("8-byte checksum slice"));
-        let actual = fnv1a(&bytes[..bytes.len() - 8]);
-        if declared != actual {
-            return Err(DecodeError::ChecksumMismatch { stored: declared, computed: actual });
-        }
-        let counts: Vec<f64> =
-            cur.take(8 * n_nodes)?.chunks_exact(8).map(|c| le_f64(c, 0)).collect();
-        let edge_start: Vec<u32> =
-            cur.take(4 * (n_nodes + 1))?.chunks_exact(4).map(|c| le_u32(c, 0)).collect();
-        let edge_label: Vec<u8> = cur.take(n_edges)?.to_vec();
-        let edge_target: Vec<u32> =
-            cur.take(4 * n_edges)?.chunks_exact(4).map(|c| le_u32(c, 0)).collect();
-
-        let store = Storage::Owned { counts, edge_start, edge_label, edge_target };
-        store.validate()?;
-        let privacy = privacy_from_wire(epsilon, delta);
-        // The arrays passed every structural check above, which is all
-        // the acceleration layout assumes.
-        let fast = store.build_fastpath();
-        Ok(Self {
-            store,
-            fast,
-            mode,
-            privacy,
-            alpha_counts,
-            alpha_absent,
-            n_docs,
-            max_len,
-            codec: SnapshotCodec::V1,
-        })
-    }
-}
-
-/// Wire encoding of a [`CountMode`]: `(tag, clip level)`.
-pub(crate) fn mode_wire(mode: CountMode) -> (u8, u64) {
-    match mode {
-        CountMode::Document => (0, 0),
-        CountMode::Substring => (1, 0),
-        CountMode::Clipped(d) => (2, d as u64),
-    }
-}
-
-/// Decodes and canonicality-checks a mode tag + clip level pair.
-pub(crate) fn mode_from_wire(tag: u8, clip: u64) -> Result<CountMode, DecodeError> {
-    match tag {
-        // Canonicality: the clip field carries information only for
-        // tag 2; any other encoding must use zero so that equal
-        // synopses have exactly one byte representation.
-        0 | 1 if clip != 0 => Err(DecodeError::BadField {
-            field: "clip level",
-            detail: format!("nonzero clip level {clip} with mode tag {tag}"),
-        }),
-        0 => Ok(CountMode::Document),
-        1 => Ok(CountMode::Substring),
-        2 => {
-            let d = usize::try_from(clip).map_err(|_| DecodeError::SizeOverflow)?;
-            Ok(CountMode::Clipped(d))
-        }
-        other => {
-            Err(DecodeError::BadField { field: "mode tag", detail: format!("unknown tag {other}") })
-        }
-    }
-}
-
-/// Domain checks for the decoded privacy parameters, shared by v1 and v2.
-pub(crate) fn check_privacy_fields(epsilon: f64, delta: f64) -> Result<(), DecodeError> {
-    if !(epsilon.is_finite() && epsilon > 0.0) {
-        return Err(DecodeError::BadField { field: "epsilon", detail: epsilon.to_string() });
-    }
-    // `-0.0` would satisfy a plain range check but re-serialize as
-    // `+0.0` (PrivacyParams::pure normalizes it), breaking
-    // canonicality — reject the sign bit explicitly.
-    if delta.is_sign_negative() || !((0.0..1.0).contains(&delta)) {
-        return Err(DecodeError::BadField { field: "delta", detail: delta.to_string() });
-    }
-    Ok(())
-}
-
-/// Rebuilds [`PrivacyParams`] from validated wire floats.
-pub(crate) fn privacy_from_wire(epsilon: f64, delta: f64) -> PrivacyParams {
-    if delta == 0.0 {
-        PrivacyParams::pure(epsilon)
-    } else {
-        PrivacyParams::approx(epsilon, delta)
-    }
-}
-
-/// Node/edge count sanity shared by v1 and v2 headers.
-pub(crate) fn check_tree_shape(n_nodes: usize, n_edges: usize) -> Result<(), DecodeError> {
-    if n_nodes == 0 {
-        return Err(DecodeError::BadField {
-            field: "node count",
-            detail: "zero (the root is mandatory)".to_string(),
-        });
-    }
-    if n_edges != n_nodes - 1 {
-        return Err(DecodeError::BadField {
-            field: "edge count",
-            detail: format!("{n_edges} != node count {n_nodes} - 1"),
-        });
-    }
-    Ok(())
 }
 
 impl PrivateCountStructure {
@@ -936,7 +687,7 @@ mod tests {
         assert_eq!(f.alpha_absent(), s.alpha_absent());
         assert_eq!(f.alpha(), s.alpha());
         assert_eq!(f.db_params(), s.db_params());
-        assert_eq!(f.codec(), SnapshotCodec::V1);
+        assert_eq!(f.to_bytes(), f.to_bytes_v2(false), "freeze emits uncompressed v2");
         assert!(!f.is_borrowed());
     }
 
@@ -970,7 +721,6 @@ mod tests {
             let bytes = f.to_bytes_v2(compressed);
             let back = FrozenSynopsis::from_bytes(&bytes).expect("v2 parses");
             assert_eq!(back, f, "compressed={compressed}");
-            assert_eq!(back.codec(), SnapshotCodec::V2 { compressed });
             assert!(!back.is_borrowed(), "from_bytes decodes owned");
             // Canonical: re-serializing in the dialect it arrived in
             // reproduces the input bytes, and serialized_len agrees.
@@ -996,18 +746,16 @@ mod tests {
         }
         // Borrowed re-encodes canonically too.
         assert_eq!(borrowed.to_bytes(), &shared[..]);
-        // Compressed and v1 inputs fall back to owned decodes.
+        // Compressed inputs fall back to owned decodes.
         let compressed: Arc<[u8]> = f.to_bytes_v2(true).into();
         assert!(!FrozenSynopsis::from_bytes_shared(compressed).expect("parses").is_borrowed());
-        let v1: Arc<[u8]> = f.to_bytes().into();
-        assert!(!FrozenSynopsis::from_bytes_shared(v1).expect("parses").is_borrowed());
     }
 
     #[test]
-    fn v2_compressed_is_smaller_than_v1_and_uncompressed() {
-        // The 192-byte sectioned header only amortizes on realistic
-        // sizes, so build a few hundred nodes (all strings of length ≤ 3
-        // over a 6-letter alphabet) rather than the 5-node toy.
+    fn v2_compressed_is_smaller_than_uncompressed() {
+        // Measure the varint savings on a realistic size: a few hundred
+        // nodes (all strings of length ≤ 3 over a 6-letter alphabet)
+        // rather than the 5-node toy.
         let mut trie: Trie<f64> = Trie::new(100.0);
         let sigma = b"abcdef";
         for (i, &a) in sigma.iter().enumerate() {
@@ -1028,10 +776,8 @@ mod tests {
             8,
         )
         .freeze();
-        let v1 = f.to_bytes().len();
         let v2 = f.to_bytes_v2(false).len();
         let v2c = f.to_bytes_v2(true).len();
-        assert!(v2c < v1, "compressed v2 ({v2c}) must undercut v1 ({v1})");
         assert!(v2c < v2, "compressed v2 ({v2c}) must undercut uncompressed v2 ({v2})");
         // And the compressed dialect still roundtrips bit-exactly.
         let back = FrozenSynopsis::from_bytes(&f.to_bytes_v2(true)).expect("parses");
@@ -1096,24 +842,29 @@ mod tests {
             .contains("version"));
     }
 
-    /// Overwrites `bytes[at..]` with `patch` and re-stamps the trailing v1
-    /// checksum, simulating an adversary who keeps the frame valid.
+    /// Overwrites header bytes `bytes[at..]` with `patch` and re-stamps
+    /// the v2 header checksum (the last 8 header bytes, covering all
+    /// before them), simulating an adversary who keeps the frame valid.
     fn patch_and_restamp(bytes: &[u8], at: usize, patch: &[u8]) -> Vec<u8> {
+        let sum_off = codec_v2::HEADER_LEN - 8;
+        assert!(at + patch.len() <= sum_off, "patch must stay inside the header fields");
         let mut out = bytes.to_vec();
         out[at..at + patch.len()].copy_from_slice(patch);
-        let body = out.len() - 8;
-        let sum = fnv1a(&out[..body]);
-        out[body..].copy_from_slice(&sum.to_le_bytes());
+        let sum = crate::codec::fnv1a(&out[..sum_off]);
+        out[sum_off..codec_v2::HEADER_LEN].copy_from_slice(&sum.to_le_bytes());
         out
     }
+
+    /// v2 header offsets of the clip level and δ (see `codec_v2`).
+    const CLIP_OFF: usize = 16;
+    const DELTA_OFF: usize = 32;
 
     #[test]
     fn nonzero_clip_with_non_clipped_tag_is_rejected() {
         // toy_structure is Substring (tag 1, clip field 0); setting the
         // clip field with a fixed checksum must fail canonicality.
         let bytes = toy_structure().freeze().to_bytes();
-        let clip_offset = 4 + 2 + 1; // magic + version + tag
-        let forged = patch_and_restamp(&bytes, clip_offset, &5u64.to_le_bytes());
+        let forged = patch_and_restamp(&bytes, CLIP_OFF, &5u64.to_le_bytes());
         let err = FrozenSynopsis::from_bytes(&forged).unwrap_err();
         assert!(err.to_string().contains("clip"), "unexpected error: {err}");
         // The same patch on a Clipped-mode synopsis is meaningful and fine.
@@ -1129,10 +880,13 @@ mod tests {
             4,
         )
         .freeze();
-        let reclipped = patch_and_restamp(&clipped.to_bytes(), clip_offset, &5u64.to_le_bytes());
-        let parsed = FrozenSynopsis::from_bytes(&reclipped).expect("valid clipped encoding");
-        assert_eq!(parsed.mode(), CountMode::Clipped(5));
-        assert_eq!(parsed.to_bytes(), reclipped, "canonical re-serialization");
+        for compressed in [false, true] {
+            let bytes = clipped.to_bytes_v2(compressed);
+            let reclipped = patch_and_restamp(&bytes, CLIP_OFF, &5u64.to_le_bytes());
+            let parsed = FrozenSynopsis::from_bytes(&reclipped).expect("valid clipped encoding");
+            assert_eq!(parsed.mode(), CountMode::Clipped(5));
+            assert_eq!(parsed.to_bytes(), reclipped, "canonical re-serialization");
+        }
     }
 
     #[test]
@@ -1140,54 +894,13 @@ mod tests {
         // toy_structure is pure DP (δ = +0.0); flipping δ's sign bit with
         // a restamped checksum must fail rather than decode to a synopsis
         // that re-serializes differently.
-        let bytes = toy_structure().freeze().to_bytes();
-        let delta_offset = 4 + 2 + 1 + 8 + 8; // magic + version + tag + clip + ε
-        let forged = patch_and_restamp(&bytes, delta_offset, &(-0.0f64).to_bits().to_le_bytes());
-        let err = FrozenSynopsis::from_bytes(&forged).unwrap_err();
-        assert!(err.to_string().contains("delta"), "unexpected error: {err}");
-    }
-
-    #[test]
-    fn non_finite_counts_are_rejected() {
-        // A NaN count would break `PartialEq` (roundtrip tests go vacuous)
-        // and poison every aggregate served from the synopsis; forge one
-        // into the counts array with a restamped checksum.
-        let bytes = toy_structure().freeze().to_bytes();
-        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-            let forged = patch_and_restamp(&bytes, HEADER_LEN, &bad.to_bits().to_le_bytes());
-            let err = FrozenSynopsis::from_bytes(&forged).unwrap_err();
-            assert!(err.to_string().contains("counts"), "unexpected error: {err}");
-        }
-    }
-
-    #[test]
-    fn non_finite_alphas_are_rejected() {
-        let bytes = toy_structure().freeze().to_bytes();
-        let alpha_counts_offset = 4 + 2 + 1 + 8 + 8 + 8; // …+ clip + ε + δ
-        let alpha_absent_offset = alpha_counts_offset + 8;
-        for (offset, field) in
-            [(alpha_counts_offset, "alpha_counts"), (alpha_absent_offset, "alpha_absent")]
-        {
-            for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-                let forged = patch_and_restamp(&bytes, offset, &bad.to_bits().to_le_bytes());
-                let err = FrozenSynopsis::from_bytes(&forged).unwrap_err();
-                assert!(err.to_string().contains(field), "unexpected error: {err}");
-            }
-        }
-    }
-
-    #[test]
-    fn forged_oversized_edge_start_is_an_error_not_a_panic() {
-        // An edge_start entry far past the edge arrays, with a restamped
-        // checksum, must be caught by the range-first structural check —
-        // historically this could index out of bounds during validation.
         let f = toy_structure().freeze();
-        let n = f.node_count();
-        let bytes = f.to_bytes();
-        let es1_offset = HEADER_LEN + 8 * n + 4; // counts, then edge_start[1]
-        let forged = patch_and_restamp(&bytes, es1_offset, &u32::MAX.to_le_bytes());
-        let err = FrozenSynopsis::from_bytes(&forged).unwrap_err();
-        assert!(err.to_string().contains("CSR"), "unexpected error: {err}");
+        for compressed in [false, true] {
+            let bytes = f.to_bytes_v2(compressed);
+            let forged = patch_and_restamp(&bytes, DELTA_OFF, &(-0.0f64).to_bits().to_le_bytes());
+            let err = FrozenSynopsis::from_bytes(&forged).unwrap_err();
+            assert!(err.to_string().contains("delta"), "unexpected error: {err}");
+        }
     }
 
     #[test]

@@ -99,8 +99,8 @@ impl ShardManager {
     /// uncompressed v2 snapshot decodes *borrowed* — after validation its
     /// arrays point into `bytes`, which the installed [`ShardSnapshot`]
     /// keeps alive through the synopsis — so installing a shard performs
-    /// zero per-array copies. v1 and compressed-v2 inputs decode owned,
-    /// exactly as [`Self::load_snapshot`].
+    /// zero per-array copies. Compressed-v2 inputs decode owned, exactly
+    /// as [`Self::load_snapshot`].
     pub fn load_snapshot_shared(
         &self,
         shard: u32,
@@ -313,9 +313,9 @@ mod tests {
         assert_eq!(snap.serialized_len, shared.len());
         assert_eq!(snap.synopsis.query(b"a"), 6.5);
         assert_eq!(snap.synopsis, f, "borrowed decode is logically identical");
-        // v1 bytes through the shared path still work (owned fallback).
-        let v1: Arc<[u8]> = f.to_bytes().into();
-        let snap = m.load_snapshot_shared(5, v1).unwrap();
+        // Compressed v2 through the shared path still works (owned fallback).
+        let compressed: Arc<[u8]> = f.to_bytes_v2(true).into();
+        let snap = m.load_snapshot_shared(5, compressed).unwrap();
         assert!(!snap.synopsis.is_borrowed());
         assert_eq!(snap.synopsis.query(b"a"), 6.5);
     }

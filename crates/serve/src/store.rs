@@ -40,7 +40,11 @@
 //! to its last valid record prefix, discards records whose payload is
 //! missing or fails its checksum (falling back to the next older
 //! epoch), and deletes unreferenced files. A crash after the commit
-//! point recovers the new epoch. There is no in-between state.
+//! point recovers the new epoch. There is no in-between state. A payload
+//! that is intact (length and checksum match its record) but in a
+//! snapshot version this build cannot decode is not damage: recovery
+//! fails `open` with [`StoreError::UnsupportedFormat`] and leaves every
+//! file as it found it.
 //!
 //! ## Fault injection
 //!
@@ -61,7 +65,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use dpsc_private_count::codec::fnv1a;
-use dpsc_private_count::FrozenSynopsis;
+use dpsc_private_count::{DecodeError, FrozenSynopsis};
 
 use crate::trace::{TraceEvent, TraceKind, TraceRing};
 
@@ -84,6 +88,11 @@ pub enum StoreError {
     Io(std::io::Error),
     /// A payload or manifest structure failed validation.
     Corrupt(String),
+    /// An intact payload (length and checksum match its manifest record)
+    /// in a snapshot format version this build cannot decode, such as the
+    /// retired `DPSF` v1. Recovery refuses to open the store rather than
+    /// discard it.
+    UnsupportedFormat(String),
     /// A rollback target that is not retained (never persisted, already
     /// pruned by retention, or its payload no longer validates).
     UnknownEpoch {
@@ -101,6 +110,9 @@ impl fmt::Display for StoreError {
         match self {
             Self::Io(e) => write!(f, "store io error: {e}"),
             Self::Corrupt(what) => write!(f, "store corruption: {what}"),
+            Self::UnsupportedFormat(what) => {
+                write!(f, "store holds a snapshot this build cannot read: {what}")
+            }
             Self::UnknownEpoch { corpus, epoch, retained } => write!(
                 f,
                 "epoch {epoch} of corpus {corpus} is not retained (retained: {retained:?})"
@@ -582,6 +594,9 @@ impl SnapshotStore {
                         chosen_at = Some(i);
                         break;
                     }
+                    // Intact but unreadable: refuse to open before the
+                    // repair pass below could drop or delete it.
+                    Err(e @ StoreError::UnsupportedFormat(_)) => return Err(e),
                     Err(_) => dirty = true,
                 }
             }
@@ -611,7 +626,9 @@ impl SnapshotStore {
 
     /// Reads and fully validates one record's payload: existence,
     /// length, FNV-1a, and a structural synopsis decode (codec checksums
-    /// reject bit rot the manifest fnv might theoretically collide on).
+    /// reject bit rot the manifest fnv might theoretically collide on). A
+    /// payload that passes length and FNV-1a but carries a format version
+    /// this build cannot decode is [`StoreError::UnsupportedFormat`].
     fn validate_record(&self, corpus: u32, rec: &ManifestRecord) -> Result<Arc<[u8]>, StoreError> {
         let path = self.dir.join(snap_file_name(corpus, rec.src_epoch));
         let bytes = self.io.read_file(&path)?;
@@ -630,8 +647,13 @@ impl SnapshotStore {
             )));
         }
         let bytes: Arc<[u8]> = bytes.into();
-        FrozenSynopsis::from_bytes_shared(Arc::clone(&bytes))
-            .map_err(|e| StoreError::Corrupt(format!("{}: {e}", path.display())))?;
+        FrozenSynopsis::from_bytes_shared(Arc::clone(&bytes)).map_err(|e| {
+            let what = format!("{}: {e}", path.display());
+            match e {
+                DecodeError::UnsupportedVersion { .. } => StoreError::UnsupportedFormat(what),
+                _ => StoreError::Corrupt(what),
+            }
+        })?;
         Ok(bytes)
     }
 

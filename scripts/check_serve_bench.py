@@ -46,7 +46,8 @@ OPTIONAL_STRUCTURAL_SHARD_FIELDS = (
 
 # Per-shard latency columns gated like qps (current may regress at most
 # max_slowdown over baseline): the in-process single-query microbenchmark
-# and the two cold-load decode paths (v1 full-copy vs v2 borrowed).
+# and the two cold-load decode paths of the shipped uncompressed v2
+# snapshot (owned full-copy vs borrowed zero-copy).
 GATED_SHARD_LATENCY_FIELDS = (
     "single_query_ns",
     "cold_load_ns",
@@ -121,14 +122,17 @@ def main() -> int:
                 failures.append(
                     f"shard {name}: {field} regressed {ratio:.2f}x (limit {max_slowdown:.2f}x)"
                 )
-        # The compressed v2 encoding must actually be smaller than v1 on
-        # every shard — a deterministic codec property, not a perf gate.
+        # The compressed v2 encoding (serialized_len_v2) must actually be
+        # smaller than the uncompressed v2 snapshot that ships
+        # (serialized_len) on every shard — a deterministic codec property,
+        # not a perf gate.
         if "serialized_len_v2" in c:
-            v1_len, v2_len = c.get("serialized_len"), c["serialized_len_v2"]
-            if v1_len is not None and v2_len >= v1_len:
+            plain_len, v2_len = c.get("serialized_len"), c["serialized_len_v2"]
+            if plain_len is not None and v2_len >= plain_len:
                 failures.append(
                     f"shard {name}: compressed v2 snapshot ({v2_len} B) is not smaller "
-                    f"than v1 ({v1_len} B) — the v2 codec lost its size advantage"
+                    f"than uncompressed v2 ({plain_len} B) — the compressed dialect lost "
+                    f"its size advantage"
                 )
 
     for name in cur_shards:

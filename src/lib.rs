@@ -78,7 +78,7 @@ pub mod prelude {
     pub use dpsc_private_count::{
         build_approx, build_pure, build_qgram_fast, build_qgram_pure, build_simple_trie,
         evaluate_mining, BuildParams, CountMode, DecodeError, FastQgramParams, FrozenSynopsis,
-        PrivateCountStructure, QgramParams, SimpleTrieParams, SnapshotCodec,
+        PrivateCountStructure, QgramParams, SimpleTrieParams,
     };
     pub use dpsc_serve::{
         Client, ClientConfig, ClientError, MetricsReport, RetryPolicy, Server, ServerConfig,

@@ -287,7 +287,8 @@ fn stats_surface_per_shard_sizes_and_utility_bounds() {
 /// Shipping a v2 uncompressed snapshot over the wire installs it
 /// *borrowed*: the resident synopsis answers straight out of the received
 /// frame buffer (zero per-array copies), bit-identically to a local
-/// decode, and hot-swaps back to owned v1 still work on the same shard.
+/// decode, and a hot swap to the compressed dialect on the same shard
+/// lands owned.
 #[test]
 fn v2_snapshots_serve_borrowed_over_the_wire() {
     let (frozen, patterns) = dp_built(35);
@@ -305,10 +306,38 @@ fn v2_snapshots_serve_borrowed_over_the_wire() {
         assert_eq!(served.to_bits(), frozen.query(p).to_bits(), "pattern {p:?}");
     }
 
-    // Swapping the same shard back to a v1 snapshot lands owned.
-    client.load_snapshot(1, &frozen.to_bytes()).expect("v1 snapshot loads");
+    // Swapping the same shard to a compressed snapshot lands owned.
+    client.load_snapshot(1, &frozen.to_bytes_v2(true)).expect("compressed snapshot loads");
     assert!(!manager.snapshot(1).unwrap().synopsis.is_borrowed());
     assert!(client.query(1, b"").expect("query answered").is_finite());
+    handle.shutdown();
+}
+
+/// The retired v1 format is refused over the wire: a `LoadSnapshot`
+/// whose version field says 1 gets an `Error` response naming the
+/// version, and the resident epoch keeps answering bit-identically.
+#[test]
+fn retired_v1_snapshots_are_refused_and_the_resident_epoch_keeps_answering() {
+    let (frozen, patterns) = dp_built(37);
+    let bytes = frozen.to_bytes();
+    let manager = Arc::new(ShardManager::new());
+    let handle = spawn_daemon(Arc::clone(&manager));
+    let mut client = Client::connect(handle.addr()).expect("client connects");
+    let epoch = client.load_snapshot(2, &bytes).expect("v2 snapshot loads");
+
+    let mut v1 = bytes.clone();
+    v1[4..6].copy_from_slice(&1u16.to_le_bytes());
+    match client.load_snapshot(2, &v1) {
+        Err(ClientError::Server(msg)) => {
+            assert!(msg.contains("unsupported format version 1"), "got: {msg}")
+        }
+        other => panic!("a v1 snapshot must get an Error response, got {other:?}"),
+    }
+    assert_eq!(manager.snapshot(2).expect("shard resident").epoch, epoch, "nothing swapped");
+    for p in &patterns {
+        let served = client.query(2, p).expect("query answered");
+        assert_eq!(served.to_bits(), frozen.query(p).to_bits(), "pattern {p:?}");
+    }
     handle.shutdown();
 }
 

@@ -11,8 +11,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use dp_substring_counting::prelude::*;
-use dp_substring_counting::serve::store::{MANIFEST_HEADER, MANIFEST_NAME, MANIFEST_RECORD_LEN};
-use dp_substring_counting::serve::{ClientError, FaultPlan, FaultyIo, SnapshotStore, StoreIo};
+use dp_substring_counting::serve::store::{
+    snap_file_name, MANIFEST_HEADER, MANIFEST_NAME, MANIFEST_RECORD_LEN,
+};
+use dp_substring_counting::serve::{
+    ClientError, FaultPlan, FaultyIo, SnapshotStore, StoreError, StoreIo,
+};
 use dp_substring_counting::strkit::trie::Trie;
 
 /// A synthetic synopsis over a fixed key set whose every count is
@@ -512,5 +516,29 @@ fn restart_recovers_every_corpus_to_its_newest_epoch() {
         assert_eq!(served, expect, "shard {shard} recovered the wrong epoch");
     }
     handle.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// An intact payload in a snapshot version this build cannot decode (a
+/// valid v2 snapshot whose version field says 1, the retired format) is
+/// not damage to repair: `open` fails, the daemon refuses to bind on the
+/// directory, and the payload file and the manifest stay byte-identical.
+#[test]
+fn unreadable_snapshot_version_fails_open_and_leaves_the_store_untouched() {
+    let mut payload = synthetic(10.0).to_bytes();
+    payload[4..6].copy_from_slice(&1u16.to_le_bytes());
+    let dir = scratch_dir("old-version");
+    let epoch = SnapshotStore::open(&dir, 4).unwrap().persist(3, &payload).unwrap();
+    let payload_path = dir.join(snap_file_name(3, epoch));
+    let manifest_before = std::fs::read(manifest_path(&dir)).unwrap();
+
+    let err = SnapshotStore::open(&dir, 4).expect_err("an unreadable payload must fail open");
+    assert!(matches!(err, StoreError::UnsupportedFormat(_)), "unexpected error: {err}");
+    assert!(err.to_string().contains("version"), "error names the version: {err}");
+    let config = ServerConfig { store_dir: Some(dir.clone()), ..ServerConfig::default() };
+    assert!(Server::bind(config, Arc::new(ShardManager::new())).is_err(), "bind must fail");
+
+    assert_eq!(std::fs::read(&payload_path).unwrap(), payload, "payload file untouched");
+    assert_eq!(std::fs::read(manifest_path(&dir)).unwrap(), manifest_before, "manifest untouched");
     let _ = std::fs::remove_dir_all(&dir);
 }

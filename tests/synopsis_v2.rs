@@ -1,10 +1,11 @@
-//! Robustness of the `DPSF` v2 snapshot codec on a *real* DP-built
-//! structure, mirroring `synopsis_serialization.rs` for both v2 dialects
-//! (uncompressed/borrowable and delta-compressed): exact round-trips,
-//! `Err` (never a panic) on truncations, bit flips, splices, and noise,
-//! forged-but-restamped non-finite fields, and a differential sweep
-//! asserting that v1-decoded, v2-owned, and v2-borrowed synopses answer
-//! bit-identically.
+//! Robustness of the `DPSF` v2 snapshot codec — the only format a
+//! `FrozenSynopsis` reads or writes — on a *real* DP-built structure, for
+//! both dialects (uncompressed/borrowable and delta-compressed): exact
+//! round-trips, `Err` (never a panic) on truncations, magic/version
+//! damage, tiny inputs, bit flips, splices, and noise, forged-but-restamped
+//! non-finite fields, a clean `UnsupportedVersion` for the retired v1, and
+//! a differential sweep asserting that owned, compressed, and borrowed
+//! decodes answer bit-identically.
 
 mod common;
 
@@ -68,11 +69,11 @@ fn patch_and_restamp_v2(bytes: &[u8], at: usize, patch: &[u8]) -> Vec<u8> {
 #[test]
 fn v2_roundtrip_preserves_queries_exactly() {
     let (structure, frozen, docs) = built();
+    assert_eq!(frozen.to_bytes(), frozen.to_bytes_v2(false), "freeze emits uncompressed v2");
     for compressed in [false, true] {
         let bytes = frozen.to_bytes_v2(compressed);
         let back = FrozenSynopsis::from_bytes(&bytes).expect("round-trip parses");
         assert_eq!(back, frozen);
-        assert_eq!(back.codec(), SnapshotCodec::V2 { compressed });
         for doc in &docs {
             for i in 0..doc.len() {
                 for j in i + 1..=doc.len() {
@@ -108,6 +109,59 @@ fn v2_truncations_and_extensions_error() {
                 "extension {extra} parsed (compressed={compressed})"
             );
         }
+    }
+}
+
+#[test]
+fn version_and_magic_damage_errors() {
+    let (_, frozen, _) = built();
+    for compressed in [false, true] {
+        let bytes = frozen.to_bytes_v2(compressed);
+        for pos in 0..6 {
+            for val in [0u8, 2, 7, 0xFF] {
+                let mut m = bytes.clone();
+                if m[pos] == val {
+                    continue;
+                }
+                m[pos] = val;
+                assert!(
+                    FrozenSynopsis::from_bytes(&m).is_err(),
+                    "byte {pos} := {val} parsed (compressed={compressed})"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn empty_and_tiny_inputs_error() {
+    assert!(FrozenSynopsis::from_bytes(&[]).is_err());
+    for len in 1..16 {
+        assert!(FrozenSynopsis::from_bytes(&vec![0u8; len]).is_err());
+        assert!(FrozenSynopsis::from_bytes(&vec![0xFFu8; len]).is_err());
+    }
+    // A valid header prefix with nothing after it is still truncated.
+    let (_, frozen, _) = built();
+    for compressed in [false, true] {
+        let bytes = frozen.to_bytes_v2(compressed);
+        assert!(FrozenSynopsis::from_bytes(&bytes[..16]).is_err(), "compressed={compressed}");
+    }
+}
+
+#[test]
+fn retired_v1_version_is_unsupported_on_both_decode_paths() {
+    let (_, frozen, _) = built();
+    let want = DecodeError::UnsupportedVersion { found: 1, expected: 2 };
+    for compressed in [false, true] {
+        let mut v1 = frozen.to_bytes_v2(compressed);
+        v1[4..6].copy_from_slice(&1u16.to_le_bytes());
+        assert_eq!(FrozenSynopsis::from_bytes(&v1).unwrap_err(), want, "compressed={compressed}");
+        let shared: Arc<[u8]> = v1.into();
+        assert_eq!(
+            FrozenSynopsis::from_bytes_shared(shared).unwrap_err(),
+            want,
+            "compressed={compressed}"
+        );
     }
 }
 
@@ -205,14 +259,12 @@ fn v2_borrowed_and_owned_answer_bit_identically() {
     assert!(borrowed.is_borrowed(), "uncompressed v2 via Arc must decode borrowed");
     let owned = FrozenSynopsis::from_bytes(&v2u).expect("owned decode");
     assert!(!owned.is_borrowed());
-    // Compressed v2 and v1 fall back to owned storage through the same
-    // entry point.
+    // Compressed v2 falls back to owned storage through the same entry
+    // point.
     let v2c = FrozenSynopsis::from_bytes_shared(frozen.to_bytes_v2(true).into()).unwrap();
     assert!(!v2c.is_borrowed());
-    let v1 = FrozenSynopsis::from_bytes_shared(frozen.to_bytes().into()).unwrap();
-    assert!(!v1.is_borrowed());
 
-    for syn in [&borrowed, &owned, &v2c, &v1] {
+    for syn in [&borrowed, &owned, &v2c] {
         assert_eq!(*syn, frozen);
     }
     for doc in &docs {
@@ -220,9 +272,7 @@ fn v2_borrowed_and_owned_answer_bit_identically() {
             for j in i + 1..=doc.len() {
                 let pat = &doc[i..j];
                 let want = structure.query(pat).to_bits();
-                for (label, syn) in
-                    [("borrowed", &borrowed), ("owned", &owned), ("v2c", &v2c), ("v1", &v1)]
-                {
+                for (label, syn) in [("borrowed", &borrowed), ("owned", &owned), ("v2c", &v2c)] {
                     assert_eq!(syn.query(pat).to_bits(), want, "{label} disagrees on {pat:?}");
                     assert_eq!(
                         syn.query_naive(pat).to_bits(),
@@ -282,8 +332,8 @@ fn v2_forged_oversized_edge_start_is_an_error_not_a_panic() {
 }
 
 /// Builds a real structure on tiny random corpora (retrying the
-/// legitimate FAIL branch on derived seeds) and asserts all three decode
-/// paths agree bit-for-bit.
+/// legitimate FAIL branch on derived seeds) so the proptest below can
+/// assert that all three decode paths agree bit-for-bit.
 fn build_small(docs: Vec<Vec<u8>>, seed: u64) -> Option<(PrivateCountStructure, Vec<Vec<u8>>)> {
     let db = Database::from_documents(Alphabet::lowercase(26), docs.clone()).expect("valid docs");
     let idx = CorpusIndex::build(&db);
@@ -297,7 +347,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     #[test]
-    fn v1_v2_owned_and_borrowed_decode_bit_identically(
+    fn v2_owned_compressed_and_borrowed_decode_bit_identically(
         docs in proptest::collection::vec(
             proptest::collection::vec(proptest::sample::select(vec![b'a', b'b', b'c']), 1..12),
             1..10,
@@ -306,7 +356,6 @@ proptest! {
     ) {
         let (structure, docs) = common::with_retry_seeds(seed, 6, |s| build_small(docs.clone(), s));
         let frozen = structure.freeze();
-        let v1 = FrozenSynopsis::from_bytes(&frozen.to_bytes()).expect("v1 decodes");
         let v2_owned = FrozenSynopsis::from_bytes(&frozen.to_bytes_v2(false)).expect("v2 decodes");
         let v2_compressed =
             FrozenSynopsis::from_bytes(&frozen.to_bytes_v2(true)).expect("v2c decodes");
@@ -318,7 +367,6 @@ proptest! {
                 for j in i + 1..=doc.len() {
                     let pat = &doc[i..j];
                     let want = frozen.query(pat).to_bits();
-                    prop_assert_eq!(v1.query(pat).to_bits(), want);
                     prop_assert_eq!(v2_owned.query(pat).to_bits(), want);
                     prop_assert_eq!(v2_compressed.query(pat).to_bits(), want);
                     prop_assert_eq!(v2_borrowed.query(pat).to_bits(), want);
@@ -328,7 +376,6 @@ proptest! {
         // Absent patterns exercise the early-exit paths of all storages.
         for pat in [b"zz".as_slice(), b"xyzw", b"qqqqqqqq"] {
             let want = frozen.query(pat).to_bits();
-            prop_assert_eq!(v1.query(pat).to_bits(), want);
             prop_assert_eq!(v2_owned.query(pat).to_bits(), want);
             prop_assert_eq!(v2_compressed.query(pat).to_bits(), want);
             prop_assert_eq!(v2_borrowed.query(pat).to_bits(), want);
