@@ -21,6 +21,8 @@
 //! rather than assuming it; `tests/build_determinism.rs` pins the same
 //! invariant in the test suite. Timings are measurements (min over
 //! repeats) and are the only fields that vary run to run.
+//! `index_heap_bytes` is the corpus index's heap footprint
+//! (`CorpusIndex::heap_bytes`), which the gate treats as a ceiling.
 //!
 //! `DPSC_BUILD_FULL=1` adds the `dna-flood` scenario — a noise-flooded
 //! ~1M-node build exercising the Step 2/Steps 3–6 heavy regime — and more
@@ -139,6 +141,8 @@ struct ScenarioResult {
     ell: usize,
     /// Total corpus size in bytes (`Database::total_len`).
     corpus_bytes: usize,
+    /// Heap bytes of the corpus index (`CorpusIndex::heap_bytes`).
+    index_heap_bytes: usize,
     epsilon: f64,
     tau: f64,
     candidates: usize,
@@ -225,6 +229,7 @@ fn run_scenario(sc: &Scenario, sc_idx: u64, repeats: usize) -> ScenarioResult {
         n: sc.n,
         ell: sc.ell,
         corpus_bytes: db.total_len(),
+        index_heap_bytes: idx.heap_bytes(),
         epsilon: sc.epsilon,
         tau: sc.tau_frac * sc.n as f64,
         candidates: 0,
@@ -298,6 +303,7 @@ fn to_json(results: &[ScenarioResult], tier: &str, repeats: usize) -> String {
         out.push_str(&format!("      \"n\": {},\n", r.n));
         out.push_str(&format!("      \"ell\": {},\n", r.ell));
         out.push_str(&format!("      \"corpus_bytes\": {},\n", r.corpus_bytes));
+        out.push_str(&format!("      \"index_heap_bytes\": {},\n", r.index_heap_bytes));
         out.push_str(&format!("      \"epsilon\": {},\n", r.epsilon));
         out.push_str(&format!("      \"tau\": {},\n", r.tau));
         out.push_str(&format!("      \"candidates\": {},\n", r.candidates));

@@ -22,7 +22,7 @@ impl Lce {
     /// Builds from a precomputed suffix array and LCP array.
     pub fn new(sa: &SuffixArray, lcp: &LcpArray) -> Self {
         assert_eq!(sa.len(), lcp.len());
-        Self { rank: sa.rank().to_vec(), rmq: SparseTableRmq::new(lcp.values()), n: sa.len() }
+        Self { rank: sa.rank(), rmq: SparseTableRmq::new(lcp.values()), n: sa.len() }
     }
 
     /// Builds directly from a byte text.

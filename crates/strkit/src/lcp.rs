@@ -1,4 +1,8 @@
-//! Longest-common-prefix arrays (Kasai's algorithm).
+//! Longest-common-prefix arrays (the Φ algorithm).
+//!
+//! Built with the Φ/PLCP construction (Kärkkäinen, Manzini, Puglisi,
+//! "Permuted Longest-Common-Prefix Array", CPM 2009): it needs the suffix
+//! array but not its inverse, so no rank array is ever materialized.
 //!
 //! `lcp[i]` is the length of the longest common prefix of the suffixes
 //! ranked `i-1` and `i` in the suffix array (`lcp\[0\] = 0`). Together with a
@@ -16,30 +20,40 @@ pub struct LcpArray {
 }
 
 impl LcpArray {
-    /// Builds the LCP array with Kasai's `O(n)` algorithm.
+    /// Builds the LCP array in `O(n)` with the Φ algorithm: `phi[sa[r]] =
+    /// sa[r-1]` names each suffix's predecessor in rank order, the
+    /// permuted LCP (`plcp[p] = lcp[rank[p]]`) is computed in text order into
+    /// that same buffer (it drops by at most one per position, as in Kasai's
+    /// algorithm), and a final pass permutes it into rank order.
     ///
     /// Works for any integer text; generic over the symbol type so the same
     /// code serves byte texts and sentinel-augmented integer texts.
     pub fn build<T: PartialEq>(text: &[T], sa: &SuffixArray) -> Self {
         let n = text.len();
         assert_eq!(n, sa.len(), "text/suffix-array length mismatch");
-        let mut lcp = vec![0u32; n];
-        let rank = sa.rank();
-        let sa_arr = sa.sa();
+        let sa = sa.sa();
+        // The smallest suffix has no predecessor.
+        const NONE: u32 = u32::MAX;
+        let mut phi = vec![NONE; n];
+        for w in sa.windows(2) {
+            phi[w[1] as usize] = w[0];
+        }
         let mut h = 0usize;
         for i in 0..n {
-            let r = rank[i] as usize;
-            if r > 0 {
-                let j = sa_arr[r - 1] as usize;
-                while i + h < n && j + h < n && text[i + h] == text[j + h] {
-                    h += 1;
-                }
-                lcp[r] = h as u32;
-                h = h.saturating_sub(1);
-            } else {
+            let j = phi[i];
+            if j == NONE {
+                phi[i] = 0;
                 h = 0;
+                continue;
             }
+            let j = j as usize;
+            while i + h < n && j + h < n && text[i + h] == text[j + h] {
+                h += 1;
+            }
+            phi[i] = h as u32;
+            h = h.saturating_sub(1);
         }
+        let lcp = sa.iter().map(|&p| phi[p as usize]).collect();
         Self { lcp }
     }
 
@@ -59,6 +73,11 @@ impl LcpArray {
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.lcp.is_empty()
+    }
+
+    /// Bytes owned on the heap (allocated capacity).
+    pub fn heap_bytes(&self) -> usize {
+        self.lcp.capacity() * std::mem::size_of::<u32>()
     }
 }
 
@@ -90,7 +109,7 @@ mod tests {
     }
 
     #[test]
-    fn kasai_matches_naive() {
+    fn phi_matches_naive() {
         check(b"");
         check(b"a");
         check(b"banana");

@@ -5,14 +5,16 @@
 //! PODS 2025):
 //!
 //! * [`SuffixArray`] — SA-IS linear-time suffix array construction over byte
-//!   or small-integer texts (the paper's suffix-tree substrate, §2.1).
-//! * [`LcpArray`] — Kasai's linear-time longest-common-prefix array.
+//!   or integer texts on `u32` buffers, storing no inverse (the paper's
+//!   suffix-tree substrate, §2.1).
+//! * [`LcpArray`] — linear-time longest-common-prefix array by the Φ
+//!   algorithm (no rank array needed).
 //! * [`SparseTableRmq`] — `O(1)` range-minimum queries after `O(N log N)`
 //!   preprocessing; powers [`Lce`] longest-common-extension queries, the
 //!   substitute for the `O(1)`-LCE structures of \[6,30,45\] in the paper.
 //! * [`Lce`] — longest common extension between arbitrary text positions.
 //! * [`RollingHash`] — double polynomial rolling hash (fast substring
-//!   equality / concatenation lookups).
+//!   equality / concatenation lookups), 12 bytes per symbol.
 //! * [`Trie`] — counted tries over byte strings (the `T_C` structure of the
 //!   paper's Step 2), with pruning and DFS mining traversals.
 //! * Pattern search over suffix arrays ([`search`]) with naive reference

@@ -1,11 +1,19 @@
-//! Suffix array construction (SA-IS) over byte and small-integer texts.
+//! Suffix array construction (SA-IS) over byte and integer texts.
 //!
 //! The paper builds the suffix tree of `S = S_1 $_1 S_2 $_2 … S_n $_n` (proof
 //! of Lemma 7). We build the equivalent suffix *array* in linear time with
-//! SA-IS (Nong–Zhang–Chan), plus the LCP array ([`crate::lcp`]); together
-//! they expose the same interface (pattern intervals, node frequencies,
-//! string depths) as the suffix tree of Farach-Colton et al. \[29, 30\] used by
-//! the paper — see DESIGN.md §2 for the substitution table.
+//! SA-IS (Nong, Zhang, Chan, "Two Efficient Algorithms for Linear Time Suffix
+//! Array Construction", IEEE TC 2011), plus the LCP array ([`crate::lcp`]);
+//! together they expose the same interface (pattern intervals, node
+//! frequencies, string depths) as the suffix tree of Farach-Colton et al.
+//! \[29, 30\] used by the paper — see DESIGN.md §2 for the substitution table.
+//!
+//! SA-IS sorts the caller's text in place of a shifted, sentinel-terminated
+//! copy: the empty suffix acts as a virtual sentinel smaller than every
+//! symbol. Every level works on `u32` buffers, classifies L/S types and sums
+//! bucket bounds once, and recurses on `u32` LMS-substring names (the layout
+//! follows the AtCoder Library's `sa_is`). Only the suffix array is stored;
+//! [`SuffixArray::rank`] computes the inverse on demand.
 //!
 //! Two text forms are supported:
 //! * plain byte texts ([`SuffixArray::from_bytes`]);
@@ -13,34 +21,23 @@
 //!   ([`SuffixArray::from_ints`]) — needed for the generalized text with `n`
 //!   distinct sentinels `$_1 < … < $_n < Σ`.
 
-/// A suffix array over a text, with rank (inverse) array.
+/// Marks an empty suffix-array slot during induced sorting.
+const EMPTY: u32 = u32::MAX;
+
+/// A suffix array over a text.
 ///
 /// Invariant: `sa` is a permutation of `0..n` such that
-/// `text[sa[i]..] < text[sa[i+1]..]` lexicographically, and
-/// `rank[sa[i]] == i`.
+/// `text[sa[i]..] < text[sa[i+1]..]` lexicographically.
 #[derive(Debug, Clone)]
 pub struct SuffixArray {
     sa: Vec<u32>,
-    rank: Vec<u32>,
 }
 
 impl SuffixArray {
-    /// Builds the suffix array of a byte text in `O(n)` time.
-    ///
-    /// Specialized byte path: bytes always fit the `σ = 256` alphabet, so
-    /// this skips both the per-symbol alphabet check and the intermediate
-    /// `Vec<u32>` copy that routing through [`Self::from_ints`] would cost,
-    /// building the shifted SA-IS input directly.
+    /// Builds the suffix array of a byte text in `O(n)` time, sorting the
+    /// bytes directly (no widened copy of the text).
     pub fn from_bytes(text: &[u8]) -> Self {
-        assert!(text.len() <= u32::MAX as usize - 2, "text too long for u32 indexing");
-        let n = text.len();
-        if n == 0 {
-            return Self { sa: Vec::new(), rank: Vec::new() };
-        }
-        let mut s: Vec<usize> = Vec::with_capacity(n + 1);
-        s.extend(text.iter().map(|&b| b as usize + 1));
-        s.push(0);
-        Self::from_shifted(&s, 257)
+        Self { sa: sa_is(text, 256) }
     }
 
     /// Builds the suffix array of an integer text whose symbols lie in
@@ -53,32 +50,7 @@ impl SuffixArray {
             text.iter().all(|&c| (c as usize) < sigma),
             "text symbol outside declared alphabet"
         );
-        assert!(text.len() <= u32::MAX as usize - 2, "text too long for u32 indexing");
-        let n = text.len();
-        if n == 0 {
-            return Self { sa: Vec::new(), rank: Vec::new() };
-        }
-        // Shift symbols by +1 and append a unique smallest sentinel 0; SA-IS
-        // requires the sentinel. We strip it from the result.
-        let mut s: Vec<usize> = Vec::with_capacity(n + 1);
-        s.extend(text.iter().map(|&c| c as usize + 1));
-        s.push(0);
-        Self::from_shifted(&s, sigma + 1)
-    }
-
-    /// Shared tail of the constructors: runs SA-IS on the already-shifted,
-    /// sentinel-terminated input `s` and strips the sentinel suffix.
-    fn from_shifted(s: &[usize], sigma: usize) -> Self {
-        let n = s.len() - 1;
-        let sa_with_sentinel = sais(s, sigma);
-        // sa_with_sentinel[0] is the sentinel suffix (position n); drop it.
-        debug_assert_eq!(sa_with_sentinel[0], n);
-        let sa: Vec<u32> = sa_with_sentinel[1..].iter().map(|&i| i as u32).collect();
-        let mut rank = vec![0u32; n];
-        for (r, &p) in sa.iter().enumerate() {
-            rank[p as usize] = r as u32;
-        }
-        Self { sa, rank }
+        Self { sa: sa_is(text, sigma) }
     }
 
     /// The suffix array: `self.sa()[i]` is the start of the `i`-th smallest
@@ -88,11 +60,14 @@ impl SuffixArray {
         &self.sa
     }
 
-    /// The inverse permutation: `self.rank()[p]` is the lexicographic rank of
-    /// the suffix starting at `p`.
-    #[inline]
-    pub fn rank(&self) -> &[u32] {
-        &self.rank
+    /// The inverse permutation, computed in `O(n)`: `self.rank()[p]` is the
+    /// lexicographic rank of the suffix starting at `p`.
+    pub fn rank(&self) -> Vec<u32> {
+        let mut rank = vec![0u32; self.sa.len()];
+        for (r, &p) in (0u32..).zip(&self.sa) {
+            rank[p as usize] = r;
+        }
+        rank
     }
 
     /// Text length.
@@ -106,6 +81,11 @@ impl SuffixArray {
     pub fn is_empty(&self) -> bool {
         self.sa.is_empty()
     }
+
+    /// Bytes owned on the heap (allocated capacity).
+    pub fn heap_bytes(&self) -> usize {
+        self.sa.capacity() * std::mem::size_of::<u32>()
+    }
 }
 
 /// Naive `O(n² log n)` suffix array used as ground truth in tests.
@@ -115,182 +95,141 @@ pub fn naive_suffix_array(text: &[u8]) -> Vec<u32> {
     sa
 }
 
-/// SA-IS over `s` with symbols in `[0, sigma)`; `s` must end with a unique
-/// smallest sentinel (value 0 appearing exactly once, at the end).
-fn sais(s: &[usize], sigma: usize) -> Vec<usize> {
+/// SA-IS over `s` with symbols in `[0, sigma)`. The empty suffix is a
+/// virtual sentinel: a suffix that is a proper prefix of another sorts
+/// first.
+fn sa_is<T: Copy + Into<u32> + PartialEq>(s: &[T], sigma: usize) -> Vec<u32> {
     let n = s.len();
-    debug_assert!(n >= 1);
-    debug_assert_eq!(s[n - 1], 0);
-    if n == 1 {
-        return vec![0];
+    // Slot values `0..n` and `EMPTY` must stay distinct after the
+    // `wrapping_sub(1)` in `induce`.
+    assert!(n <= u32::MAX as usize - 2, "text too long for u32 indexing");
+    if n == 0 {
+        return Vec::new();
     }
-    let mut sa = vec![usize::MAX; n];
-    sais_inner(s, sigma, &mut sa);
+    let sym = |i: usize| s[i].into() as usize;
+
+    // `ls[i]`: suffix `i` is S-type (smaller than suffix `i + 1`). The last
+    // suffix is L-type: the virtual sentinel after it is smallest.
+    let mut ls = vec![false; n];
+    for i in (0..n - 1).rev() {
+        ls[i] = if s[i] == s[i + 1] { ls[i + 1] } else { sym(i) < sym(i + 1) };
+    }
+    // `sum_l[c]`: start of bucket `c`, where its L-type suffixes go;
+    // `sum_s[c]`: start of its S-type part. `sum_l[c + 1]` ends bucket `c`.
+    let mut sum_l = vec![0u32; sigma + 1];
+    let mut sum_s = vec![0u32; sigma + 1];
+    for (i, &is_s) in ls.iter().enumerate() {
+        if is_s {
+            sum_l[sym(i) + 1] += 1;
+        } else {
+            sum_s[sym(i)] += 1;
+        }
+    }
+    for c in 0..sigma {
+        sum_s[c] += sum_l[c];
+        sum_l[c + 1] += sum_s[c];
+    }
+
+    // LMS positions in text order, and each one's index among them.
+    let mut lms_map = vec![EMPTY; n];
+    let mut lms: Vec<u32> = Vec::new();
+    for i in 1..n {
+        if !ls[i - 1] && ls[i] {
+            lms_map[i] = lms.len() as u32;
+            lms.push(i as u32);
+        }
+    }
+    let m = lms.len();
+
+    // Induce from the LMS suffixes in text order: this sorts them by their
+    // LMS substrings.
+    let mut sa = vec![EMPTY; n];
+    induce(s, &ls, &sum_l, &sum_s, &lms, &mut sa);
+    if m == 0 {
+        return sa;
+    }
+
+    // Name the LMS substrings in sorted order; equal neighbours share a
+    // name. A substring runs from its LMS position to the next one,
+    // inclusive; the last one runs into the sentinel and equals no other.
+    let mut names = vec![0u32; m];
+    let mut name = 0u32;
+    let mut prev: Option<usize> = None;
+    for p in sa.iter().map(|&p| p as usize).filter(|&p| lms_map[p] != EMPTY) {
+        if let Some(q) = prev {
+            let end = |i: usize| lms.get(lms_map[i] as usize + 1).map_or(n, |&e| e as usize);
+            let (end_q, end_p) = (end(q), end(p));
+            let same =
+                end_q - q == end_p - p && end_q < n && end_p < n && s[q..=end_q] == s[p..=end_p];
+            name += u32::from(!same);
+        }
+        names[lms_map[p] as usize] = name;
+        prev = Some(p);
+    }
+    drop(lms_map);
+
+    // Sort the LMS suffixes exactly: by the names directly when they are
+    // unique, otherwise by recursing on the reduced string of names.
+    let mut sorted = if name as usize + 1 == m {
+        let mut inv = vec![0u32; m];
+        for (k, &c) in (0u32..).zip(&names) {
+            inv[c as usize] = k;
+        }
+        inv
+    } else {
+        sa_is(&names, name as usize + 1)
+    };
+    drop(names);
+    for k in sorted.iter_mut() {
+        *k = lms[*k as usize];
+    }
+    induce(s, &ls, &sum_l, &sum_s, &sorted, &mut sa);
     sa
 }
 
-/// Type of each suffix: S-type (`true`) or L-type (`false`).
-fn classify(s: &[usize]) -> Vec<bool> {
+/// Induced sorting with the bucket bounds `sum_l`/`sum_s` of `sa_is`:
+/// seeds `sa` with the LMS suffixes `lms` (in the order given, at the start
+/// of their buckets' S-type parts), then fills in the L-type suffixes left
+/// to right and the S-type suffixes right to left.
+fn induce<T: Copy + Into<u32>>(
+    s: &[T],
+    ls: &[bool],
+    sum_l: &[u32],
+    sum_s: &[u32],
+    lms: &[u32],
+    sa: &mut [u32],
+) {
     let n = s.len();
-    let mut is_s = vec![false; n];
-    is_s[n - 1] = true;
-    for i in (0..n - 1).rev() {
-        is_s[i] = s[i] < s[i + 1] || (s[i] == s[i + 1] && is_s[i + 1]);
+    let sym = |i: usize| s[i].into() as usize;
+    sa.fill(EMPTY);
+    let mut buf = sum_s.to_vec();
+    for &p in lms {
+        let c = sym(p as usize);
+        sa[buf[c] as usize] = p;
+        buf[c] += 1;
     }
-    is_s
-}
-
-#[inline]
-fn is_lms(is_s: &[bool], i: usize) -> bool {
-    i > 0 && is_s[i] && !is_s[i - 1]
-}
-
-/// Computes, for each symbol, the exclusive end of its bucket (`tails=true`)
-/// or the inclusive start (`tails=false`).
-fn buckets(s: &[usize], sigma: usize, tails: bool) -> Vec<usize> {
-    let mut count = vec![0usize; sigma];
-    for &c in s {
-        count[c] += 1;
-    }
-    let mut out = vec![0usize; sigma];
-    let mut sum = 0usize;
-    for c in 0..sigma {
-        if tails {
-            sum += count[c];
-            out[c] = sum; // exclusive end
-        } else {
-            out[c] = sum; // inclusive start
-            sum += count[c];
-        }
-    }
-    out
-}
-
-/// Induced sorting: given LMS suffixes already placed in `sa` (everything
-/// else `usize::MAX`), fill in L-type then S-type suffixes.
-fn induce(s: &[usize], sigma: usize, is_s: &[bool], sa: &mut [usize]) {
-    let n = s.len();
-    // Left-to-right pass placing L-type suffixes at bucket heads.
-    let mut heads = buckets(s, sigma, false);
+    buf.copy_from_slice(sum_l);
+    // Suffix n-1 follows the virtual sentinel, the smallest suffix.
+    let c = sym(n - 1);
+    sa[buf[c] as usize] = (n - 1) as u32;
+    buf[c] += 1;
     for i in 0..n {
-        let p = sa[i];
-        if p == usize::MAX || p == 0 {
-            continue;
-        }
-        let j = p - 1;
-        if !is_s[j] {
-            let c = s[j];
-            sa[heads[c]] = j;
-            heads[c] += 1;
+        // `p = sa[i] - 1`; empty slots and suffix 0 wrap to `>= n`.
+        let p = sa[i].wrapping_sub(1) as usize;
+        if p < n && !ls[p] {
+            let c = sym(p);
+            sa[buf[c] as usize] = p as u32;
+            buf[c] += 1;
         }
     }
-    // Right-to-left pass placing S-type suffixes at bucket tails.
-    let mut tails = buckets(s, sigma, true);
+    buf.copy_from_slice(sum_l);
     for i in (0..n).rev() {
-        let p = sa[i];
-        if p == usize::MAX || p == 0 {
-            continue;
+        let p = sa[i].wrapping_sub(1) as usize;
+        if p < n && ls[p] {
+            let c = sym(p) + 1;
+            buf[c] -= 1;
+            sa[buf[c] as usize] = p as u32;
         }
-        let j = p - 1;
-        if is_s[j] {
-            let c = s[j];
-            tails[c] -= 1;
-            sa[tails[c]] = j;
-        }
-    }
-}
-
-fn sais_inner(s: &[usize], sigma: usize, sa: &mut [usize]) {
-    let n = s.len();
-    let is_s = classify(s);
-
-    // Step 1: place LMS suffixes at the ends of their buckets (arbitrary
-    // order) and induce to approximately sort them.
-    sa.fill(usize::MAX);
-    {
-        let mut tails = buckets(s, sigma, true);
-        for i in (1..n).rev() {
-            if is_lms(&is_s, i) {
-                let c = s[i];
-                tails[c] -= 1;
-                sa[tails[c]] = i;
-            }
-        }
-    }
-    induce(s, sigma, &is_s, sa);
-
-    // Step 2: compact the (now sorted) LMS suffixes and name their LMS
-    // substrings.
-    let mut lms_sorted: Vec<usize> = sa.iter().copied().filter(|&p| is_lms(&is_s, p)).collect();
-    let num_lms = lms_sorted.len();
-    // Name LMS substrings in sorted order, starting from 0; equal adjacent
-    // substrings share a name.
-    let mut name_of = vec![usize::MAX; n];
-    let mut name = 0usize;
-    let mut prev = usize::MAX;
-    for &p in &lms_sorted {
-        if prev != usize::MAX && !lms_substrings_equal(s, &is_s, prev, p) {
-            name += 1;
-        }
-        name_of[p] = name;
-        prev = p;
-    }
-    let num_names = if num_lms == 0 { 0 } else { name + 1 };
-
-    // Step 3: if names are not yet unique, recurse on the reduced string.
-    let lms_positions: Vec<usize> = (1..n).filter(|&i| is_lms(&is_s, i)).collect();
-    if num_names < num_lms {
-        let reduced: Vec<usize> = lms_positions.iter().map(|&p| name_of[p]).collect();
-        // The reduced string ends with the sentinel's LMS (position n-1 has
-        // name 0 and is the unique minimum because the sentinel is unique).
-        let mut sub_sa = vec![usize::MAX; reduced.len()];
-        sais_inner(&reduced, num_names, &mut sub_sa);
-        for (r, &idx) in sub_sa.iter().enumerate() {
-            lms_sorted[r] = lms_positions[idx];
-        }
-    } else {
-        // Names unique: order LMS positions by name directly.
-        for &p in &lms_positions {
-            lms_sorted[name_of[p]] = p;
-        }
-        lms_sorted.truncate(num_lms);
-    }
-
-    // Step 4: final induced sort from the exactly-sorted LMS suffixes.
-    sa.fill(usize::MAX);
-    {
-        let mut tails = buckets(s, sigma, true);
-        for &p in lms_sorted.iter().rev() {
-            let c = s[p];
-            tails[c] -= 1;
-            sa[tails[c]] = p;
-        }
-    }
-    induce(s, sigma, &is_s, sa);
-}
-
-/// Compares the LMS substrings starting at `a` and `b` for equality.
-///
-/// An LMS substring runs from an LMS position to the next LMS position
-/// (inclusive); the sentinel's LMS substring is just the sentinel.
-fn lms_substrings_equal(s: &[usize], is_s: &[bool], a: usize, b: usize) -> bool {
-    let n = s.len();
-    if a == n - 1 || b == n - 1 {
-        return a == b;
-    }
-    let mut i = 0usize;
-    loop {
-        let pa = a + i;
-        let pb = b + i;
-        let a_end = i > 0 && is_lms(is_s, pa);
-        let b_end = i > 0 && is_lms(is_s, pb);
-        if a_end && b_end {
-            return true;
-        }
-        if a_end != b_end || s[pa] != s[pb] || is_s[pa] != is_s[pb] {
-            return false;
-        }
-        i += 1;
     }
 }
 
@@ -302,8 +241,9 @@ mod tests {
         let sa = SuffixArray::from_bytes(text);
         let expected = naive_suffix_array(text);
         assert_eq!(sa.sa(), expected.as_slice(), "text={:?}", text);
+        let rank = sa.rank();
         for (r, &p) in sa.sa().iter().enumerate() {
-            assert_eq!(sa.rank()[p as usize] as usize, r);
+            assert_eq!(rank[p as usize] as usize, r);
         }
     }
 
@@ -378,5 +318,136 @@ mod tests {
     fn repetitive_blocks() {
         check(b"aabaabaabaab");
         check(b"abaababaabaababaababa");
+    }
+
+    /// Naive sort of the suffixes of an integer text.
+    fn naive_int_sa(text: &[u32]) -> Vec<u32> {
+        let mut sa: Vec<u32> = (0..text.len() as u32).collect();
+        sa.sort_by(|&a, &b| text[a as usize..].cmp(&text[b as usize..]));
+        sa
+    }
+
+    /// Tiny deterministic generator (64-bit LCG, high bits).
+    fn lcg(state: &mut u64) -> u32 {
+        *state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        (*state >> 33) as u32
+    }
+
+    /// `S_1 $_1 … S_n $_n` with sentinel `i` and byte `b` mapped to `n + b`.
+    fn generalized(docs: &[Vec<u8>]) -> (Vec<u32>, usize) {
+        let n_docs = docs.len() as u32;
+        let mut text = Vec::new();
+        for (i, d) in (0u32..).zip(docs) {
+            text.extend(d.iter().map(|&b| n_docs + b as u32));
+            text.push(i);
+        }
+        (text, n_docs as usize + 256)
+    }
+
+    #[test]
+    fn every_text_up_to_length_three() {
+        let mut texts: Vec<Vec<u8>> = vec![Vec::new()];
+        for _ in 0..3 {
+            let longer: Vec<Vec<u8>> = texts
+                .iter()
+                .filter(|t| t.len() == texts.last().unwrap().len())
+                .flat_map(|t| (b'a'..=b'c').map(move |c| [t.as_slice(), &[c]].concat()))
+                .collect();
+            texts.extend(longer);
+        }
+        assert_eq!(texts.len(), 1 + 3 + 9 + 27);
+        for t in &texts {
+            check(t);
+            let ints: Vec<u32> = t.iter().map(|&b| (b - b'a') as u32).collect();
+            assert_eq!(SuffixArray::from_ints(&ints, 3).sa(), naive_int_sa(&ints).as_slice());
+        }
+    }
+
+    #[test]
+    fn fibonacci_words() {
+        let (mut a, mut b) = (b"b".to_vec(), b"a".to_vec());
+        while b.len() < 2000 {
+            check(&b);
+            let next = [b.as_slice(), a.as_slice()].concat();
+            a = std::mem::replace(&mut b, next);
+        }
+    }
+
+    #[test]
+    fn unary_and_periodic_texts() {
+        for len in [1, 2, 3, 4, 5, 17, 64, 1000] {
+            check(&vec![b'a'; len]);
+            check(&b"ab".repeat(len));
+            check(&b"abc".repeat(len));
+            check(&b"aab".repeat(len));
+            check(&b"cba".repeat(len));
+            let mut runs = vec![b'b'; len];
+            runs.extend(vec![b'a'; len]);
+            runs.extend(vec![b'b'; len]);
+            check(&runs);
+        }
+    }
+
+    #[test]
+    fn more_than_65536_sentinels() {
+        // 70 000 short documents over {a, b}, many of them equal or empty:
+        // σ > 2^16 and the recursion names many equal LMS substrings.
+        let mut state = 7u64;
+        let docs: Vec<Vec<u8>> = (0..70_000)
+            .map(|_| {
+                let len = lcg(&mut state) % 4;
+                (0..len).map(|_| b'a' + (lcg(&mut state) % 2) as u8).collect()
+            })
+            .collect();
+        let (text, sigma) = generalized(&docs);
+        assert!(sigma > 1 << 16);
+        assert_eq!(SuffixArray::from_ints(&text, sigma).sa(), naive_int_sa(&text).as_slice());
+    }
+
+    #[test]
+    fn log_like_generalized_text_checked_three_ways() {
+        // Log lines: a shared timestamp prefix, a few levels and services,
+        // varying ids — long shared prefixes across documents.
+        let mut state = 11u64;
+        let levels = ["INFO", "WARN", "ERROR", "DEBUG"];
+        let services = ["auth", "db", "cache", "api", "queue"];
+        let mut docs: Vec<Vec<u8>> = Vec::new();
+        let mut total = 0;
+        while total < 100_000 {
+            let line = format!(
+                "2024-05-{:02} 12:{:02}:{:02} {} {} id={} took={}ms",
+                1 + lcg(&mut state) % 3,
+                lcg(&mut state) % 60,
+                lcg(&mut state) % 60,
+                levels[(lcg(&mut state) % 4) as usize],
+                services[(lcg(&mut state) % 5) as usize],
+                lcg(&mut state) % 500,
+                lcg(&mut state) % 50,
+            );
+            total += line.len() + 1;
+            docs.push(line.into_bytes());
+        }
+        let (text, sigma) = generalized(&docs);
+        let n = text.len();
+        assert!(n >= 100_000);
+        let sa = SuffixArray::from_ints(&text, sigma);
+        let lcp = crate::lcp::LcpArray::build(&text, &sa);
+
+        // 1. `sa` is a permutation of 0..n.
+        let mut seen = vec![false; n];
+        for &p in sa.sa() {
+            assert!(!std::mem::replace(&mut seen[p as usize], true), "{p} twice");
+        }
+        assert_eq!(sa.len(), n);
+        // 2. Adjacent suffixes strictly increase, and 3. `lcp[r]` is their
+        // mismatch offset. Every suffix reaches a distinct sentinel, so the
+        // first mismatch exists and lies within one document.
+        assert_eq!(lcp.values()[0], 0);
+        for r in 1..n {
+            let (a, b) = (sa.sa()[r - 1] as usize, sa.sa()[r] as usize);
+            let k = (0..).find(|&k| text[a + k] != text[b + k]).unwrap();
+            assert!(text[a + k] < text[b + k], "ranks {} and {r} out of order", r - 1);
+            assert_eq!(lcp.values()[r] as usize, k, "lcp at rank {r}");
+        }
     }
 }

@@ -7,7 +7,8 @@ and fails when any scenario regressed by more than the allowed factor
 (default 1.25, i.e. >25% slower). Structural fields (digests, node counts)
 must match the baseline exactly — a digest change means the build's output
 changed, which is a correctness signal, not a perf one, and gets its own
-error message.
+error message. `index_heap_bytes` (the corpus index's heap footprint) is a
+ceiling: the current run fails when it exceeds the baseline's value.
 
 Usage: check_build_bench.py [current.json] [baseline.json] [max_ratio]
 """
@@ -61,6 +62,16 @@ def main() -> int:
                 failures.append(
                     f"{name}: structural field {field!r} changed "
                     f"({b[field]!r} -> {c[field]!r}) — build output drifted from baseline"
+                )
+        # The index footprint is a ceiling; tolerated when absent from an
+        # older baseline, like `workload`.
+        if "index_heap_bytes" in b:
+            b_heap, c_heap = b["index_heap_bytes"], c.get("index_heap_bytes")
+            if c_heap is None:
+                failures.append(f"{name}: index_heap_bytes missing from current run")
+            elif c_heap > b_heap:
+                failures.append(
+                    f"{name}: index_heap_bytes {c_heap} exceeds the baseline's {b_heap}"
                 )
         b_ns, c_ns = single_thread_ns(b), single_thread_ns(c)
         ratio = c_ns / b_ns if b_ns else float("inf")

@@ -23,8 +23,9 @@ fn check_generalized_sa(docs: &[&[u8]]) {
     let mut expected: Vec<u32> = (0..ints.len() as u32).collect();
     expected.sort_by(|&a, &b| ints[a as usize..].cmp(&ints[b as usize..]));
     assert_eq!(sa.sa(), expected.as_slice(), "docs={docs:?}");
+    let rank = sa.rank();
     for (r, &p) in sa.sa().iter().enumerate() {
-        assert_eq!(sa.rank()[p as usize] as usize, r);
+        assert_eq!(rank[p as usize] as usize, r);
     }
 }
 
